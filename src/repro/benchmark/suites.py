@@ -331,7 +331,7 @@ def run_parallel_benchmark(
 
     A third *supervised* leg repeats the parallel run with the full
     supervision stack armed — heartbeat watchdog, write-ahead run
-    journal (in a temporary directory), per-chain memo snapshots — and
+    journal (in a temporary directory) with per-chain memo deltas — and
     reports its overhead over the bare parallel run, checked against
     :data:`SUPERVISED_OVERHEAD_TARGET`.
     """
@@ -373,7 +373,7 @@ def run_parallel_benchmark(
     # stamp compilation, technology tables) for both sides alike, and a
     # journaled one does the same for the supervised leg (journal
     # module, tempdir machinery, first fsync on this filesystem, the
-    # full-size memo snapshot).  The supervised warm-up must match the
+    # full-size per-chain records).  The supervised warm-up must match the
     # timed workload in full mode: the first full-size journaled run
     # pays one-time allocation costs a toy warm-up does not reach, and
     # with a 5 % ceiling that residue alone would fail the check.

@@ -24,6 +24,15 @@ Determinism contract (locked in by ``tests/test_parallel.py`` and
   cache hit would skip that call, entangling the injector's stream
   with cache warmth (which does depend on scheduling).
 
+Memo tiers: an in-process chain evaluates through the caller's memo
+directly.  A pool worker evaluates through a worker-local memo whose
+read tier is the caller's memo as published just before the pool
+forks (:data:`_CALLER_MEMO`, copy-on-write), so a table re-run served
+from the caller's memo costs lookups, not solves, on any worker
+count.  Each chain records the entries it evaluated; that delta is
+what crosses the pool boundary, merges into the caller's memo and is
+journaled with the chain's ``chain-finished`` record.
+
 Supervision (:func:`run_supervised_chains`, built on
 :mod:`repro.runtime.supervisor`): chains are submitted one-per-worker
 and watched by the parent.  A killed worker (``BrokenProcessPool``)
@@ -55,6 +64,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from ..runtime import faults
 from ..runtime.budget import EvalBudget
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
+from ..runtime.journal import memo_entries_to_jsonable
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import (
     PoolManager,
@@ -169,8 +179,9 @@ class ChainTask:
     #: Workers open the store read-only; new results travel home via
     #: the memo snapshot and the supervisor flushes them.
     store_dir: str | None = None
-    #: The problem's content fingerprint in the store namespace.
-    store_fingerprint: str | None = None
+    #: The problem's content fingerprint: the memo scope every entry
+    #: of this chain is keyed under, and the store namespace.
+    fingerprint: str | None = None
     #: Store watermark (max row id) at run start: the surrogate trains
     #: only on rows at or below it, so the training corpus — and hence
     #: the trajectory — is identical across workers and on resume.
@@ -204,7 +215,7 @@ class ChainTask:
                 self.robust,
                 self.box_override,
                 self.store_dir,
-                self.store_fingerprint,
+                self.fingerprint,
             )
         )
 
@@ -233,8 +244,9 @@ class ChainOutcome:
     surrogate_skips: int = 0
     surrogate_refits: int = 0
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Worker-side memo snapshot for merging into the caller's cache
-    #: (``None`` when the chain already wrote into a shared memo).
+    #: The evaluating memo's snapshot restricted to the entries this
+    #: chain evaluated (``None`` without a memo): merged into the
+    #: caller's memo (a no-op for the caller's own memo) and journaled.
     memo_snapshot: dict | None = None
 
 
@@ -255,6 +267,10 @@ _WORKER_STORES: dict[str, object] = {}
 #: Fork-shared heartbeat slots (one double per chain index), set by the
 #: parent just before it builds a pool and inherited by the workers.
 _HEARTBEATS = None
+
+#: The caller's memo, published like ``_HEARTBEATS``: workers inherit
+#: it through ``fork`` and read it as their memos' read tier.
+_CALLER_MEMO: EvalMemo | None = None
 
 #: True only inside a pool worker process (set by the pool
 #: initializer).  Worker-level faults fire nowhere else: an injected
@@ -331,7 +347,7 @@ def _strip_worker_faults(task: ChainTask) -> ChainTask:
 
 def _worker_store(task: ChainTask):
     """The worker-local read-only store handle for a store-backed task."""
-    if not task.store_dir or task.store_fingerprint is None:
+    if not task.store_dir or task.fingerprint is None:
         return None
     store = _WORKER_STORES.get(task.store_dir)
     if store is None:
@@ -345,6 +361,11 @@ def _worker_store(task: ChainTask):
 def _memo_for(task: ChainTask, shared_memo: EvalMemo | None) -> EvalMemo | None:
     """The memo this chain evaluates through (shared, worker-local, none)."""
     if shared_memo is not None:
+        if shared_memo.bound_fingerprint != task.fingerprint:
+            raise ValueError(
+                "shared memo is bound to a different problem than the "
+                "task; bind it to task.fingerprint first"
+            )
         return shared_memo
     if task.memo_quantum is None:
         return None
@@ -352,13 +373,17 @@ def _memo_for(task: ChainTask, shared_memo: EvalMemo | None) -> EvalMemo | None:
     memo = _WORKER_MEMOS.get(key)
     if memo is None:
         memo = EvalMemo(task.memo_quantum)
-        store = _worker_store(task)
-        if store is not None:
-            # Read-only tier: store hits serve lookups; the chain's new
-            # entries ride the memo snapshot back to the supervisor,
-            # which owns the write side.
-            memo.bind_store(store, task.store_fingerprint)
+        # Read-only store tier: store hits serve lookups; the chain's
+        # new entries ride the memo snapshot back to the supervisor,
+        # which owns the write side.
+        memo.bind(task.fingerprint, _worker_store(task))
         _WORKER_MEMOS[key] = memo
+    caller = _CALLER_MEMO
+    memo.reads = (
+        caller
+        if caller is not None and caller.quantum == memo.quantum
+        else None
+    )
     return memo
 
 
@@ -481,7 +506,8 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
     Runs in a pool worker or in-process; behaviour is identical either
     way because everything the chain consumes is derived from the task
     (and because evaluation is canonical, shared-memo contents cannot
-    change results — only how fast they arrive).
+    change results — only how fast they arrive).  A ``shared_memo``
+    must be bound to ``task.fingerprint``.
     """
     previous_injector = faults.active()
     if task.fault_specs is not None:
@@ -533,6 +559,8 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
         hits_before = memo.hits if memo is not None else 0
         misses_before = memo.misses if memo is not None else 0
         store_hits_before = memo.store_hits if memo is not None else 0
+        if memo is not None:
+            memo.start_recording()
 
         screen = None
         if task.surrogate == "rank":
@@ -646,9 +674,8 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
             surrogate_refits=result.surrogate_refits,
             diagnostics=list(chain_log.records),
             memo_snapshot=(
-                memo.export()
-                if memo is not None and memo is not shared_memo
-                else None
+                memo.export(memo.take_recorded())
+                if memo is not None else None
             ),
         )
     finally:
@@ -706,8 +733,9 @@ def run_supervised_chains(
     and resubmitting only the lost chains within
     ``config.max_chain_retries``; chains that keep losing their worker
     are quarantined.  Completed chains are journaled write-ahead when
-    ``journal`` is given, and worker memo snapshots are merged into
-    ``memo`` as chains finish.
+    ``journal`` is given, and each chain's memo delta is merged into
+    ``memo`` as it finishes.  ``memo`` must be bound to the tasks'
+    fingerprint; pool workers read it as their memos' read tier.
 
     The returned mapping holds one outcome per *completed* chain —
     interrupts and quarantines leave gaps instead of raising, so the
@@ -727,7 +755,6 @@ def run_supervised_chains(
         outcomes[outcome.chain_index] = outcome
         if memo is not None and outcome.memo_snapshot is not None:
             memo.merge(outcome.memo_snapshot)
-            outcome.memo_snapshot = None
         if memo is not None:
             # Write-behind flush of this chain's new evaluations into
             # the persistent store (no-op when no store is bound).
@@ -735,13 +762,10 @@ def run_supervised_chains(
             # the on-disk result worker-count independent.
             memo.flush_store()
         if journal is not None:
+            # The record carries the chain's own new entries, so
+            # journaling costs O(chain) however large the memo is.
             journal.record_outcome(outcome)
-            if (
-                memo is not None
-                and config.memo_snapshot_every
-                and len(outcomes) % config.memo_snapshot_every == 0
-            ):
-                journal.snapshot_memo(memo)
+        outcome.memo_snapshot = None
 
     def synthetic_stop() -> bool:
         return (
@@ -767,22 +791,34 @@ def run_supervised_chains(
             # flush is idempotent.
             memo.flush_store()
         if journal is not None:
-            journal.append("interrupted", pending=pending_indices)
-            if memo is not None:
-                journal.snapshot_memo(memo)
+            # An in-process chain cut short mid-run leaves its entries
+            # recorded on the memo; keep them warm for the resume.
+            journal.append(
+                "interrupted",
+                pending=pending_indices,
+                memo=memo_entries_to_jsonable(
+                    memo.take_recorded() if memo is not None else {}
+                ),
+            )
 
     if n_workers <= 1:
-        _run_in_process(
-            tasks, memo, config, report,
-            finish=finish,
-            synthetic_stop=synthetic_stop,
-            note_interrupt=note_interrupt,
-            outcomes=outcomes,
-        )
+        try:
+            _run_in_process(
+                tasks, memo, config, report,
+                finish=finish,
+                synthetic_stop=synthetic_stop,
+                note_interrupt=note_interrupt,
+                outcomes=outcomes,
+            )
+        finally:
+            if memo is not None:
+                # A chain cut short by an exception must not leave the
+                # caller's memo recording for every later run.
+                memo.take_recorded()
         return outcomes, report
 
     _run_pooled(
-        tasks, n_workers, config, report,
+        tasks, n_workers, memo, config, report,
         finish=finish,
         synthetic_stop=synthetic_stop,
         note_interrupt=note_interrupt,
@@ -816,14 +852,14 @@ def _run_in_process(
 
 
 def _run_pooled(
-    tasks, n_workers, config, report, *, finish, synthetic_stop,
+    tasks, n_workers, memo, config, report, *, finish, synthetic_stop,
     note_interrupt, outcomes, journal,
 ) -> None:
     import concurrent.futures
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool
 
-    global _HEARTBEATS
+    global _HEARTBEATS, _CALLER_MEMO
 
     try:
         context = multiprocessing.get_context("fork")
@@ -920,6 +956,7 @@ def _run_pooled(
         return None
 
     _HEARTBEATS = heartbeats
+    _CALLER_MEMO = memo
     try:
         with PoolManager(factory) as pm, \
                 interrupt_guard(config.install_signal_handlers) as stop:
@@ -993,6 +1030,7 @@ def _run_pooled(
                     pm.kill_workers()
     finally:
         _HEARTBEATS = None
+        _CALLER_MEMO = None
 
 
 def parallel_map(

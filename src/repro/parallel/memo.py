@@ -23,20 +23,30 @@ multi-row table sessions would otherwise grow the cache without
 limit).  Evictions are counted and surfaced through
 ``repro diagnostics``.
 
+Entries are *problem-scoped*: the memo holds ``(fingerprint, key)``
+pairs, where the fingerprint is the content hash of the sizing problem
+a run is bound to (:meth:`EvalMemo.bind`).  One memo can therefore be
+shared across the rows of a table: two rows whose search boxes and
+seeds coincide propose identical parameter dicts, and only the scope
+keeps one row's cost from being served to the other.
+
 The memo is pickle-clean (plain dicts and tuples), so per-worker
 caches can cross the process-pool boundary and be merged back into a
 session-wide cache shared across chains and table rows.
 
-Two-tier operation: :meth:`EvalMemo.bind_store` attaches a persistent
-:class:`~repro.store.EvalStore` behind the LRU.  Lookups read through
-(LRU first, then the store, promoting store hits into the LRU);
-writes go behind (new entries are buffered and flushed in batches via
-:meth:`EvalMemo.flush_store`).  Chain workers bind the store
-*read-only* — their new entries travel home through the existing
+Three-tier operation: lookups try this memo's LRU first, then an
+optional *read tier* (:attr:`EvalMemo.reads` — in pool workers, the
+caller's memo as inherited through ``fork``), then an optional
+persistent :class:`~repro.store.EvalStore` attached by
+:meth:`EvalMemo.bind` (store hits are promoted into the LRU).  Writes
+go behind: new entries are buffered and flushed in batches via
+:meth:`EvalMemo.flush_store`.  Chain workers bind the store
+*read-only* — their new entries travel home through the per-chain
 snapshot/merge channel and the supervisor flushes them — so results
-stay worker-count independent.  Losing the store tier (corruption,
-locks) can never change a result, only how fast it arrives: the same
-canonical-evaluation contract that makes LRU eviction safe.
+stay worker-count independent.  Losing any tier (corruption, locks,
+a cold read tier) can never change a result, only how fast it
+arrives: the same canonical-evaluation contract that makes LRU
+eviction safe.
 """
 
 from __future__ import annotations
@@ -71,6 +81,9 @@ DEFAULT_CAPACITY = 65536
 
 MemoKey = tuple[tuple[str, "int | str"], ...]
 MemoValue = tuple[float, dict[str, float] | None]
+#: A memo entry's full identity: the problem fingerprint it was
+#: evaluated under (``None`` for an unbound memo) and its parameter key.
+ScopedKey = tuple["str | None", MemoKey]
 
 #: Key-element name reserved for the evaluation-context tag.  It starts
 #: with a NUL byte so it can never collide with a real parameter name.
@@ -98,7 +111,7 @@ def memo_key(
     hand a nominal result to a corner evaluation or vice versa.  The
     tag rides in the key as a reserved element whose field name cannot
     collide with a parameter, and string-valued elements round-trip
-    the journal's JSON snapshot exactly like integers do.
+    the journal's JSON records exactly like integers do.
     """
     items: list[tuple[str, int | str]] = []
     for name in sorted(params):
@@ -135,7 +148,7 @@ class EvalMemo:
             )
         self.quantum = quantum
         self.capacity = capacity
-        self._data: OrderedDict[MemoKey, MemoValue] = OrderedDict()
+        self._data: OrderedDict[ScopedKey, MemoValue] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -152,17 +165,32 @@ class EvalMemo:
         self._store: "EvalStore | None" = None
         self._fingerprint: str | None = None
         self._pending: OrderedDict[MemoKey, MemoValue] = OrderedDict()
+        #: Read tier consulted after the LRU and before the store: pool
+        #: workers point it at the caller's memo as inherited through
+        #: ``fork``.  It is only read — never promoted from, counted
+        #: in, or exported — so it costs no copy and no double count.
+        self.reads: EvalMemo | None = None
+        #: Entries evaluated since :meth:`start_recording` (``None``
+        #: while not recording): one chain's delta for the journal and
+        #: the pool merge.
+        self._recorded: dict[ScopedKey, MemoValue] | None = None
 
-    # ---------------------------------------------------------- store tier
+    # ------------------------------------------------- problem and store tier
 
-    def bind_store(self, store: "EvalStore", fingerprint: str) -> None:
-        """Attach a persistent store tier behind the LRU.
+    def bind(
+        self, fingerprint: str | None, store: "EvalStore | None" = None
+    ) -> None:
+        """Scope lookups and stores to one problem; attach its store.
 
-        ``fingerprint`` is the problem's content fingerprint — the
-        store-side namespace this memo reads from and writes to.  A
+        ``fingerprint`` is the problem's content fingerprint: every
+        entry this memo evaluates from now on is keyed under it, and
+        only entries under it are served.  It doubles as the namespace
+        of the persistent ``store`` tier (``None`` = memory only).  A
         read-only store (chain workers) only serves lookups; new
         entries are buffered for the supervisor-side flush instead.
+        Rebinding first flushes entries buffered for the old store.
         """
+        self.flush_store()
         self._store = store
         self._fingerprint = fingerprint
 
@@ -182,9 +210,13 @@ class EvalMemo:
     def pending_writes(self) -> int:
         return len(self._pending)
 
-    def _queue_write(self, key: MemoKey, value: MemoValue) -> None:
-        if self._store is not None and not self._store.read_only:
-            self._pending[key] = value
+    def _queue_write(self, key: ScopedKey, value: MemoValue) -> None:
+        if (
+            self._store is not None
+            and not self._store.read_only
+            and key[0] == self._fingerprint
+        ):
+            self._pending[key[1]] = value
 
     def flush_store(self) -> int:
         """Write-behind flush of buffered entries; returns new rows.
@@ -204,23 +236,28 @@ class EvalMemo:
 
     def key(
         self, params: Mapping[str, float], tag: str | None = None
-    ) -> MemoKey:
-        return memo_key(params, self.quantum, tag)
+    ) -> ScopedKey:
+        return self._fingerprint, memo_key(params, self.quantum, tag)
 
     def lookup(
         self, params: Mapping[str, float], tag: str | None = None
     ) -> MemoValue | None:
         """Cached ``(cost, metrics)`` or ``None``; counts the outcome.
 
-        Reads through both tiers: an LRU miss falls back to the bound
-        store (if any), and a store hit is promoted into the LRU so
-        the hot set stays memory-resident under eviction pressure.
+        Reads through every tier: the LRU, then the read tier, then the
+        bound store, whose hits are promoted into the LRU so the hot
+        set stays memory-resident under eviction pressure.  LRU and
+        read-tier hits count as ``hits``, store hits as ``store_hits``.
         """
         key = self.key(params, tag)
         found = self._data.get(key)
+        if found is not None:
+            self._data.move_to_end(key)
+        elif self.reads is not None:
+            found = self.reads._data.get(key)
         if found is None:
             if self._store is not None and self._fingerprint is not None:
-                found = self._store.get(self._fingerprint, key)
+                found = self._store.get(self._fingerprint, key[1])
             if found is None:
                 self.misses += 1
                 return None
@@ -228,10 +265,8 @@ class EvalMemo:
             # Promote without queuing a write-behind: the entry came
             # *from* the store, so it is already persisted.
             self._store_key(key, found)
-            cost, metrics = found
-            return cost, (dict(metrics) if metrics is not None else None)
-        self.hits += 1
-        self._data.move_to_end(key)
+        else:
+            self.hits += 1
         cost, metrics = found
         # Hand out a copy: callers (and the annealer) may mutate metric
         # dicts, and a shared cache must never observe that.
@@ -248,9 +283,11 @@ class EvalMemo:
         value = (cost, dict(metrics) if metrics is not None else None)
         self._store_key(key, value)
         self._queue_write(key, value)
+        if self._recorded is not None:
+            self._recorded[key] = value
         self.stores += 1
 
-    def _store_key(self, key: MemoKey, value: MemoValue) -> None:
+    def _store_key(self, key: ScopedKey, value: MemoValue) -> None:
         self._data[key] = value
         self._data.move_to_end(key)
         self._evict()
@@ -287,6 +324,21 @@ class EvalMemo:
 
         return cached
 
+    # ------------------------------------------------------- chain deltas
+
+    def start_recording(self) -> None:
+        """Begin collecting the entries this memo evaluates (a chain)."""
+        self._recorded = {}
+
+    def take_recorded(self) -> dict[ScopedKey, MemoValue]:
+        """The entries evaluated since :meth:`start_recording`; stops.
+
+        Returns an empty dict when not recording, so an interrupt
+        handler can drain whatever a cut-short chain left behind.
+        """
+        recorded, self._recorded = self._recorded, None
+        return recorded if recorded is not None else {}
+
     # ----------------------------------------------------- stats and merging
 
     def __len__(self) -> int:
@@ -304,13 +356,17 @@ class EvalMemo:
     #: Counter fields carried in snapshots and deduped on merge.
     _COUNTER_FIELDS = ("hits", "misses", "stores", "evictions", "store_hits")
 
-    def export(self) -> dict:
-        """Picklable snapshot (entries + counters) for pool merging."""
+    def export(self, data: "Mapping[ScopedKey, MemoValue] | None" = None) -> dict:
+        """Picklable snapshot for pool merging: counters plus entries.
+
+        ``data`` restricts the entries to a delta (a chain's
+        :meth:`take_recorded`); the default exports every entry.
+        """
         return {
             "quantum": self.quantum,
             "capacity": self.capacity,
             "generation": self.generation,
-            "data": dict(self._data),
+            "data": dict(self._data if data is None else data),
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
@@ -324,17 +380,19 @@ class EvalMemo:
         Existing entries win: evaluation is canonical, so both sides
         hold the same value and keeping ours is free.  This memo's own
         ``capacity`` is enforced after the fold, and entries new to
-        this memo are queued for the write-behind store flush (the
-        store's ``INSERT OR IGNORE`` makes re-queuing an entry the
-        store already holds a no-op).
+        this memo under its bound fingerprint are queued for the
+        write-behind store flush (the store's ``INSERT OR IGNORE``
+        makes re-queuing an entry the store already holds a no-op).
 
         Counters are deduped by the source memo's *generation id*:
         worker memos outlive a single chain, so each chain snapshot
         carries the worker's cumulative counters, and a pool rebuild
         can even deliver the same snapshot twice.  Per generation,
         only the delta beyond the last merged totals is added —
-        merging a snapshot twice adds zero the second time.  Legacy
-        snapshots without a generation (old journals) add plainly.
+        merging a snapshot twice adds zero the second time, and a
+        memo's own snapshot (an in-process chain's delta) adds
+        nothing at all.  Snapshots without a generation (entries
+        rebuilt from a run journal) add their counters plainly.
         """
         if isinstance(snapshot, EvalMemo):
             snapshot = snapshot.export()
@@ -343,6 +401,9 @@ class EvalMemo:
                 "refusing to merge memos with different quanta: "
                 f"{snapshot['quantum']} != {self.quantum}"
             )
+        generation = snapshot.get("generation")
+        if generation == self.generation:
+            return
         for key, value in snapshot["data"].items():
             if key not in self._data:
                 self._store_key(key, value)
@@ -350,7 +411,6 @@ class EvalMemo:
         counters = {
             name: int(snapshot.get(name, 0)) for name in self._COUNTER_FIELDS
         }
-        generation = snapshot.get("generation")
         if generation is None:
             deltas = counters
         else:

@@ -12,13 +12,14 @@ A journaled run owns a *run directory*:
     Append-only JSON lines, flushed and fsynced per record
     (write-ahead: a chain is only considered durable once its line is
     on disk).  Record kinds: ``chain-finished`` (the full serialized
-    :class:`~repro.parallel.ChainOutcome`), supervision events
-    (``worker-restart``, ``chain-retried``, ``chain-quarantined``,
-    ``chain-hung``, ``chain-timeout``, ``interrupted``,
-    ``chain-resumed``), and ``run-finished``.
-``memo.json``
-    Periodic snapshot of the shared :class:`~repro.parallel.EvalMemo`
-    (atomically replaced), so a resumed run starts with a warm cache.
+    :class:`~repro.parallel.ChainOutcome` plus the memo entries that
+    chain evaluated), supervision events (``worker-restart``,
+    ``chain-retried``, ``chain-quarantined``, ``chain-hung``,
+    ``chain-timeout``, ``interrupted`` — with the entries of a chain
+    cut short in-process —, ``chain-resumed``), and ``run-finished``.
+    A resumed run rebuilds its warm memo from those per-chain deltas
+    (:meth:`RunJournal.load_memo_entries`), so journaling costs
+    O(new entries) per chain however large the caller's memo is.
 
 Because chain seeds are Weyl-derived from ``(master_seed, index)`` and
 chain results are pure functions of their tasks, a resumed run —
@@ -37,7 +38,7 @@ from typing import Any, Iterator
 
 from ..errors import ApeError
 
-__all__ = ["RunJournal", "run_fingerprint"]
+__all__ = ["RunJournal", "memo_entries_to_jsonable", "run_fingerprint"]
 
 
 def run_fingerprint(*parts: object) -> str:
@@ -181,13 +182,38 @@ def outcome_from_jsonable(payload: dict) -> Any:
     )
 
 
+def memo_entries_to_jsonable(entries: dict) -> list:
+    """Serialize ``{(fingerprint, key): (cost, metrics)}`` memo entries.
+
+    Entries are grouped by fingerprint (a chain's entries share one),
+    so the 64-hex scope is written once per record, not per entry.
+    """
+    groups: dict = {}
+    for (fingerprint, key), (cost, metrics) in entries.items():
+        groups.setdefault(fingerprint, []).append(
+            [[list(pair) for pair in key], cost, metrics]
+        )
+    return [[fingerprint, rows] for fingerprint, rows in groups.items()]
+
+
+def _memo_entries_from_jsonable(payload: list) -> dict:
+    """Inverse of :func:`memo_entries_to_jsonable` (exact floats)."""
+    return {
+        (fingerprint, tuple((name, q) for name, q in key)): (
+            cost,
+            dict(metrics) if metrics is not None else None,
+        )
+        for fingerprint, rows in payload
+        for key, cost, metrics in rows
+    }
+
+
 class RunJournal:
     """Filesystem-backed journal of one synthesis run."""
 
     SCHEMA = "repro-run-journal/1"
     MANIFEST = "manifest.json"
     JOURNAL = "journal.jsonl"
-    MEMO = "memo.json"
 
     def __init__(self, run_dir: str | os.PathLike) -> None:
         self.run_dir = os.fspath(run_dir)
@@ -205,12 +231,9 @@ class RunJournal:
         os.makedirs(self.run_dir, exist_ok=True)
         payload = {"schema": self.SCHEMA, **manifest}
         self._atomic_write(self.MANIFEST, json.dumps(payload, indent=2))
-        # Truncate any stale journal/memo so a reused directory cannot
-        # leak chains from an unrelated earlier run.
+        # Truncate any stale journal so a reused directory cannot leak
+        # chains (or memo entries) from an unrelated earlier run.
         open(self._path(self.JOURNAL), "w", encoding="utf-8").close()
-        memo_path = self._path(self.MEMO)
-        if os.path.exists(memo_path):
-            os.unlink(memo_path)
 
     def load_manifest(self) -> dict:
         try:
@@ -270,7 +293,15 @@ class RunJournal:
                     return
 
     def record_outcome(self, outcome: Any) -> None:
-        self.append("chain-finished", outcome=outcome_to_jsonable(outcome))
+        """Journal a finished chain with the memo entries it evaluated."""
+        snapshot = outcome.memo_snapshot
+        self.append(
+            "chain-finished",
+            outcome=outcome_to_jsonable(outcome),
+            memo=memo_entries_to_jsonable(
+                snapshot["data"] if snapshot is not None else {}
+            ),
+        )
 
     def load_outcomes(self) -> dict[int, Any]:
         """Finished chains by index (later duplicates win harmlessly)."""
@@ -281,56 +312,15 @@ class RunJournal:
                 outcomes[outcome.chain_index] = outcome
         return outcomes
 
-    # ---------------------------------------------------------------- memo
-
-    def snapshot_memo(self, memo: Any) -> None:
-        """Atomically replace the memo snapshot with ``memo``'s state."""
-        snapshot = memo.export()
-        payload = {
-            "quantum": snapshot["quantum"],
-            "capacity": snapshot.get("capacity"),
-            "generation": snapshot.get("generation"),
-            "hits": snapshot["hits"],
-            "misses": snapshot["misses"],
-            "stores": snapshot["stores"],
-            "evictions": snapshot.get("evictions", 0),
-            "store_hits": snapshot.get("store_hits", 0),
-            "entries": [
-                [[list(pair) for pair in key], cost, metrics]
-                for key, (cost, metrics) in snapshot["data"].items()
-            ],
-        }
-        self._atomic_write(self.MEMO, json.dumps(payload))
-
-    def load_memo(self) -> Any | None:
-        """The journaled memo, or ``None`` when absent/corrupt."""
-        from ..parallel.memo import EvalMemo
-
-        try:
-            with open(self._path(self.MEMO), encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        memo = EvalMemo(payload["quantum"], capacity=payload.get("capacity"))
-        snapshot = {
-            "quantum": payload["quantum"],
-            "capacity": payload.get("capacity"),
-            "generation": payload.get("generation"),
-            "hits": payload["hits"],
-            "misses": payload["misses"],
-            "stores": payload["stores"],
-            "evictions": payload.get("evictions", 0),
-            "store_hits": payload.get("store_hits", 0),
-            "data": {
-                tuple((name, q) for name, q in key): (
-                    cost,
-                    dict(metrics) if metrics is not None else None,
+    def load_memo_entries(self) -> dict:
+        """Every journaled memo entry: the warm cache for a resume."""
+        entries: dict = {}
+        for record in self.events():
+            if record.get("event") in ("chain-finished", "interrupted"):
+                entries.update(
+                    _memo_entries_from_jsonable(record.get("memo", []))
                 )
-                for key, cost, metrics in payload["entries"]
-            },
-        }
-        memo.merge(snapshot)
-        return memo
+        return entries
 
     # -------------------------------------------------------------- helpers
 

@@ -199,10 +199,20 @@ def synthesize_opamp(
     bit-for-bit the classic serial path — is the reference behaviour.
     ``memo`` controls the evaluation cache: ``None`` enables a private
     cache for multi-restart runs only, ``True``/``False`` force it, and
-    an :class:`~repro.parallel.EvalMemo` instance is used directly (and
-    so can be shared across runs, e.g. the rows of a table).  A
-    ``budget`` deadline becomes a shared wall-clock deadline: every
-    chain stops at the same absolute instant, wherever it runs.
+    an :class:`~repro.parallel.EvalMemo` instance is used directly, so
+    it can be shared across runs, e.g. the rows of a table and their
+    re-runs.  The sharing contract: the run binds the memo to the
+    problem's content fingerprint (:meth:`EvalMemo.bind`), so it is
+    only ever served entries of the same problem — rows that share a
+    search box and seed never cross-hit.  Pool workers read the memo as
+    inherited at fork time, behind their own cache; each chain's new
+    entries merge back as the chain finishes.  A repeated run is
+    therefore answered from the memo on any worker count, and sharing
+    never changes a result — only how fast it arrives.  First-run hit
+    counts may depend on ``workers`` (concurrent chains cannot see each
+    other's entries).  A ``budget`` deadline becomes a shared
+    wall-clock deadline: every chain stops at the same absolute
+    instant, wherever it runs.
     ``workers`` is clamped to usable CPUs unless ``oversubscribe``.
 
     Multi-chain runs are *supervised* (``supervisor`` overrides the
@@ -331,6 +341,23 @@ def synthesize_opamp(
             if contracted != dict(feasibility_report.box):
                 box_override = contracted
 
+    fingerprint = None
+    if memo_obj is not None:
+        fingerprint = _problem_fingerprint(
+            tech=tech,
+            spec=spec,
+            topology=topology,
+            mode=mode,
+            synthesis_spec=synthesis_spec,
+            name=name,
+            range_factor=range_factor,
+            tolerant=tolerant,
+            lint=lint,
+            robust=robust,
+            box_override=box_override,
+            quantum=memo_obj.quantum,
+        )
+
     if (
         restarts > 1
         or run_dir is not None
@@ -362,6 +389,7 @@ def synthesize_opamp(
             restarts=restarts,
             workers=workers,
             memo=memo_obj,
+            problem_fingerprint=fingerprint,
             oversubscribe=oversubscribe,
             run_dir=run_dir,
             resume=resume,
@@ -455,6 +483,8 @@ def synthesize_opamp(
     chain_eval = evaluate_tolerant if tolerant else evaluate
     hits_before = memo_obj.hits if memo_obj is not None else 0
     misses_before = memo_obj.misses if memo_obj is not None else 0
+    if memo_obj is not None:
+        memo_obj.bind(fingerprint)
     if memo_obj is not None and robust_eval is None:
         # Explicit opt-in on a serial run (restarts=1 never enables the
         # memo by itself): cache hits skip the evaluation entirely,
@@ -655,6 +685,36 @@ def _resolve_memo(
     return None
 
 
+def _problem_fingerprint(
+    *, tech, spec, topology, mode, synthesis_spec, name, range_factor,
+    tolerant, lint, robust, box_override, quantum,
+):
+    """Content identity of one sizing problem: the memo scope and store
+    namespace.
+
+    Everything the evaluation function depends on is part of it —
+    conservative on purpose: a fingerprint that is too fine costs warm
+    hits, one that is too coarse would serve one problem's cost to
+    another.  The ``kind`` tag and parts are those the persistent store
+    has always keyed by, so stores on disk stay warm.
+    """
+    return _run_fingerprint(
+        kind="eval-store/1",
+        tech=repr(tech),
+        spec=repr(spec),
+        topology=repr(topology),
+        mode=mode,
+        synthesis_spec=repr(synthesis_spec),
+        name=name,
+        range_factor=range_factor,
+        tolerant=tolerant,
+        lint=lint,
+        robust=repr(robust) if robust is not None else None,
+        box=repr(_box_key(box_override)),
+        quantum=quantum,
+    )
+
+
 def _box_key(box_override):
     """Hashable, pickle-stable form of a contracted box (or ``None``)."""
     if box_override is None:
@@ -726,6 +786,7 @@ def _synthesize_parallel(
     restarts,
     workers,
     memo,
+    problem_fingerprint,
     oversubscribe,
     run_dir=None,
     resume=False,
@@ -773,41 +834,22 @@ def _synthesize_parallel(
     config = supervisor if supervisor is not None else SupervisorConfig()
 
     store = None
-    store_fingerprint = None
     store_generation = 0
     if store_dir is not None and memo is not None:
         from ..store import EvalStore
 
         store = EvalStore(store_dir, diagnostics=log)
-        # Everything the evaluation function depends on is part of the
-        # store namespace — conservative on purpose: a fingerprint that
-        # is too fine costs warm hits, one that is too coarse would
-        # serve a wrong result.
-        store_fingerprint = _run_fingerprint(
-            kind="eval-store/1",
-            tech=repr(tech),
-            spec=repr(spec),
-            topology=repr(topology),
-            mode=mode,
-            synthesis_spec=repr(synthesis_spec),
-            name=name,
-            range_factor=range_factor,
-            tolerant=tolerant,
-            lint=lint,
-            robust=repr(robust) if robust is not None else None,
-            box=repr(_box_key(box_override)),
-            quantum=memo.quantum,
-        )
         # First contact opens the database; a corrupt/locked store
         # degrades the whole run to memory-only here, before any task
         # ships the store path to a worker.
         store_generation = store.generation()
         if store.disabled:
             store = None
-            store_fingerprint = None
             store_generation = 0
-        else:
-            memo.bind_store(store, store_fingerprint)
+    if memo is not None:
+        # Scope the caller's memo to this problem (the fingerprint is
+        # also the store namespace) for the whole run.
+        memo.bind(problem_fingerprint, store)
 
     journal = None
     journaled_outcomes: dict[int, object] = {}
@@ -865,9 +907,13 @@ def _synthesize_parallel(
             }
             resumed_indices = sorted(journaled_outcomes)
             if memo is not None:
-                warm = journal.load_memo()
-                if warm is not None and warm.quantum == memo.quantum:
-                    memo.merge(warm)
+                # The chains' journaled deltas warm the memo; entries
+                # keep their problem scope, so a memo of another
+                # quantum (another scope) can never be served them.
+                memo.merge(
+                    {"quantum": memo.quantum,
+                     "data": journal.load_memo_entries()}
+                )
             if store is not None:
                 # Re-run chains must train their surrogate on exactly
                 # the corpus the original run saw — the journaled
@@ -917,7 +963,7 @@ def _synthesize_parallel(
             robust=robust,
             box_override=_box_key(box_override),
             store_dir=str(store_dir) if store is not None else None,
-            store_fingerprint=store_fingerprint,
+            fingerprint=problem_fingerprint,
             store_generation=store_generation,
             surrogate=surrogate,
         )
@@ -984,6 +1030,7 @@ def _synthesize_parallel(
         if journal is not None:
             journal.append("run-finished", completed=0, best_cost=None)
         if store is not None:
+            memo.bind(problem_fingerprint)  # flush, drop the closed store
             store.close()
         global_stats().record_run(
             evaluations=0,
@@ -1073,6 +1120,7 @@ def _synthesize_parallel(
                 memo_quantum=memo.quantum if memo is not None else None,
                 robust=robust,
                 box_override=_box_key(box_override),
+                fingerprint=problem_fingerprint,
             )
             robust_detail = _robust_verify(
                 verify_task,
@@ -1171,6 +1219,7 @@ def _synthesize_parallel(
         surrogate_refits=surrogate_refits,
     )
     if store is not None:
+        memo.bind(problem_fingerprint)  # flush, drop the closed store
         store.close()
     if journal is not None:
         journal.append(

@@ -44,6 +44,17 @@ TECH = generic_05um()
 SPEC = OpAmpSpec(gain=100.0, ugf=2e6, ibias=2e-6, cl=10e-12)
 TOPO = OpAmpTopology(current_source="wilson", output_buffer=True, z_load=1e3)
 
+#: The two paths a multi-restart run can take, forced explicitly: left
+#: implicit, ``workers`` follows the host's CPU count and a test would
+#: exercise different code on a 1-CPU container than on CI.
+PATHS = {
+    "in-process": dict(workers=1),
+    "pooled": dict(workers=2, oversubscribe=True),
+}
+each_path = pytest.mark.parametrize(
+    "path", list(PATHS.values()), ids=list(PATHS)
+)
+
 
 def _chain_summary(result):
     """The scheduling-independent portion of a SynthesisResult."""
@@ -340,9 +351,11 @@ class TestDeterminism:
         assert one.metrics == pooled.metrics
         assert pooled.workers == 3
 
-    def test_multi_restart_repeats_exactly(self):
+    @each_path
+    def test_multi_restart_repeats_exactly(self, path):
         kwargs = dict(
-            mode="ape", max_evaluations=30, seed=2, name="oa", restarts=2
+            mode="ape", max_evaluations=30, seed=2, name="oa", restarts=2,
+            **path,
         )
         first = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
         second = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
@@ -389,10 +402,11 @@ class TestDeterminism:
 
 
 class TestResultSurface:
-    def test_throughput_and_cache_counters(self):
+    @each_path
+    def test_throughput_and_cache_counters(self, path):
         result = synthesize_opamp(
             TECH, SPEC, TOPO, mode="ape", max_evaluations=40,
-            seed=6, restarts=2,
+            seed=6, restarts=2, **path,
         )
         assert result.evals_per_second > 0
         assert result.cache_misses > 0
@@ -402,12 +416,16 @@ class TestResultSurface:
         assert all(c.evals_per_second > 0 for c in result.chains)
         assert result.evaluations == sum(c.evaluations for c in result.chains)
 
-    def test_shared_memo_across_runs(self):
+    @each_path
+    def test_shared_memo_across_runs(self, path):
         memo = EvalMemo()
-        kwargs = dict(mode="ape", max_evaluations=30, seed=8, name="oa")
+        kwargs = dict(
+            mode="ape", max_evaluations=30, seed=8, name="oa", **path
+        )
         first = synthesize_opamp(TECH, SPEC, TOPO, restarts=2, memo=memo, **kwargs)
         again = synthesize_opamp(TECH, SPEC, TOPO, restarts=2, memo=memo, **kwargs)
-        # The second run replays the exact same chains: every lookup hits.
+        # The second run replays the exact same chains: every lookup
+        # hits — in pool workers too, through the caller-memo read tier.
         assert again.cache_hits == again.evaluations
         assert again.cache_misses == 0
         assert again.best_cost == first.best_cost
@@ -426,26 +444,114 @@ class TestResultSurface:
         assert stats.evaluations == evals_before + result.evaluations
         assert stats.render()
 
-    def test_deadline_is_shared_and_degrades(self):
+    @each_path
+    def test_deadline_is_shared_and_degrades(self, path):
         budget = EvalBudget(deadline_seconds=1e-3)
         result = synthesize_opamp(
             TECH, SPEC, TOPO, mode="ape", max_evaluations=500,
-            seed=1, restarts=2, budget=budget,
+            seed=1, restarts=2, budget=budget, **path,
         )
         assert result.degraded
         assert result.evaluations < 1000
         assert any(c.stop_reason for c in result.chains)
         assert budget.evaluations == result.evaluations
 
-    def test_parallel_diagnostics_recorded(self):
+    @each_path
+    def test_parallel_diagnostics_recorded(self, path):
         log = DiagnosticLog(mirror=False)
         synthesize_opamp(
             TECH, SPEC, TOPO, mode="ape", max_evaluations=12,
-            seed=1, restarts=2, diagnostics=log,
+            seed=1, restarts=2, diagnostics=log, **path,
         )
         assert any(
             d.subsystem == "synthesis.parallel" for d in log.records
         )
+
+
+# ------------------------------------------------------ problem-scoped memo
+
+
+#: Paper Table 1 rows oa3 and oa4: one topology, so in standalone mode
+#: one search box — with one seed their first candidates coincide.
+UNBUFFERED = OpAmpTopology(
+    current_source="mirror", diff_pair="cmos", output_buffer=False,
+    z_load=math.inf,
+)
+OA3 = OpAmpSpec(gain=250.0, ugf=8e6, area=1000e-12, ibias=1e-6, cl=10e-12)
+OA4 = OpAmpSpec(gain=150.0, ugf=3e6, area=1000e-12, ibias=100e-6, cl=10e-12)
+
+
+class TestProblemScopedMemo:
+    @pytest.mark.parametrize(
+        "shape",
+        [dict(restarts=1), dict(restarts=2, **PATHS["in-process"]),
+         dict(restarts=2, **PATHS["pooled"])],
+        ids=["serial", "in-process", "pooled"],
+    )
+    def test_rows_sharing_a_box_never_cross_hit(self, shape):
+        """Regression: keys without a problem scope served oa3's costs
+        to oa4 (best cost 26.31 instead of 10.65)."""
+        kwargs = dict(
+            mode="standalone", seed=11, max_evaluations=40, **shape
+        )
+        memo = EvalMemo()
+        synthesize_opamp(TECH, OA3, UNBUFFERED, name="oa3", memo=memo, **kwargs)
+        shared = synthesize_opamp(
+            TECH, OA4, UNBUFFERED, name="oa4", memo=memo, **kwargs
+        )
+        fresh = synthesize_opamp(
+            TECH, OA4, UNBUFFERED, name="oa4", memo=EvalMemo(), **kwargs
+        )
+        assert _chain_summary(shared) == _chain_summary(fresh)
+        assert shared.best_cost == fresh.best_cost
+        assert shared.params == fresh.params
+        assert shared.metrics == fresh.metrics
+        assert shared.cache_hits == fresh.cache_hits
+
+    def test_scopes_partition_one_memo(self):
+        memo = EvalMemo()
+        memo.bind("row-a")
+        memo.store({"w": 1.0}, 0.1, None)
+        memo.bind("row-b")
+        assert memo.lookup({"w": 1.0}) is None
+        memo.store({"w": 1.0}, 0.2, None)
+        assert memo.lookup({"w": 1.0}) == (0.2, None)
+        memo.bind("row-a")
+        assert memo.lookup({"w": 1.0}) == (0.1, None)
+        assert len(memo) == 2
+
+    def test_read_tier_serves_without_copying_or_counting(self):
+        caller = EvalMemo()
+        caller.bind("row")
+        caller.store({"w": 1.0}, 0.1, {"gain": 2.0})
+        worker = EvalMemo()
+        worker.bind("row")
+        worker.reads = caller
+        worker.start_recording()
+        assert worker.lookup({"w": 1.0}) == (0.1, {"gain": 2.0})
+        assert worker.lookup({"w": 2.0}) is None
+        worker.store({"w": 2.0}, 0.2, None)
+        snapshot = worker.export(worker.take_recorded())
+        # Only the worker's own evaluation travels home.
+        assert list(snapshot["data"]) == [worker.key({"w": 2.0})]
+        assert (worker.hits, worker.misses, len(worker)) == (1, 1, 1)
+        assert (caller.hits, caller.misses) == (0, 0)
+        caller.merge(snapshot)
+        caller.merge(snapshot)
+        assert (caller.hits, caller.misses, len(caller)) == (1, 1, 2)
+
+    def test_own_snapshot_merges_as_a_no_op(self):
+        memo = EvalMemo()
+        memo.store({"w": 1.0}, 0.1, None)
+        memo.lookup({"w": 1.0})
+        memo.merge(memo.export())
+        assert (memo.hits, memo.stores, len(memo)) == (1, 1, 1)
+
+    def test_shared_memo_must_match_the_task_scope(self):
+        memo = EvalMemo()
+        memo.bind("another-problem")
+        with pytest.raises(ValueError):
+            run_annealing_chains([_small_task(chain_index=0)], memo=memo)
 
 
 # ---------------------------------------------------------------- pickling

@@ -191,7 +191,7 @@ class TestTwoTierMemo:
         params = {"w": 2e-6}
         store.put_many(FP, [(memo_key(params), (0.3, {"gain": 5.0}))])
         memo = EvalMemo()
-        memo.bind_store(store, FP)
+        memo.bind(FP, store)
         assert memo.lookup(params) == (0.3, {"gain": 5.0})
         assert (memo.hits, memo.store_hits, memo.misses) == (0, 1, 0)
         assert memo.lookups == 1
@@ -205,7 +205,7 @@ class TestTwoTierMemo:
     def test_store_tier_backstops_lru_eviction(self, tmp_path):
         store = EvalStore(tmp_path)
         memo = EvalMemo(capacity=2)
-        memo.bind_store(store, FP)
+        memo.bind(FP, store)
         for i in range(4):
             memo.store({"w": float(i + 1)}, 0.1 * i, None)
         assert memo.flush_store() == 4
@@ -217,7 +217,7 @@ class TestTwoTierMemo:
     def test_flush_drains_and_is_idempotent(self, tmp_path):
         store = EvalStore(tmp_path)
         memo = EvalMemo()
-        memo.bind_store(store, FP)
+        memo.bind(FP, store)
         memo.store({"w": 1.0}, 0.5, {"gain": 1.0})
         assert memo.pending_writes == 1
         assert memo.flush_store() == 1
@@ -228,7 +228,7 @@ class TestTwoTierMemo:
     def test_readonly_binding_never_queues(self, tmp_path):
         EvalStore(tmp_path).put_many(FP, _entries(1))
         memo = EvalMemo()
-        memo.bind_store(EvalStore(tmp_path, read_only=True), FP)
+        memo.bind(FP, EvalStore(tmp_path, read_only=True))
         memo.store({"w": 99.0}, 1.0, None)
         assert memo.pending_writes == 0
         assert memo.flush_store() == 0
@@ -236,11 +236,16 @@ class TestTwoTierMemo:
     def test_merge_queues_new_entries_for_flush(self, tmp_path):
         store = EvalStore(tmp_path)
         parent = EvalMemo()
-        parent.bind_store(store, FP)
+        parent.bind(FP, store)
         worker = EvalMemo()
+        worker.bind(FP)  # a chain worker's memo: same problem scope
         worker.store({"w": 1.0}, 0.1, None)
         worker.store({"w": 2.0}, 0.2, None)
+        other = EvalMemo()  # another problem's entries are never queued
+        other.bind("other-problem")
+        other.store({"w": 3.0}, 0.3, None)
         parent.merge(worker.export())
+        parent.merge(other.export())
         assert parent.pending_writes == 2
         assert parent.flush_store() == 2
         assert store.count(FP) == 2

@@ -23,6 +23,7 @@ invisible in the numbers.
 
 import json
 import os
+import shutil
 import signal
 import threading
 import time
@@ -40,7 +41,11 @@ from repro.runtime import (
     faults,
 )
 from repro.runtime.faults import FaultSpec, arm_from_env, injected_faults
-from repro.runtime.journal import outcome_from_jsonable, outcome_to_jsonable
+from repro.runtime.journal import (
+    memo_entries_to_jsonable,
+    outcome_from_jsonable,
+    outcome_to_jsonable,
+)
 from repro.synthesis import synthesize_opamp
 from repro.synthesis.annealing import AnnealResult
 from repro.technology import generic_05um
@@ -286,26 +291,52 @@ class TestRunJournal:
     def test_initialize_truncates_stale_state(self, tmp_path):
         journal = RunJournal(tmp_path)
         journal.initialize({"fingerprint": "old"})
-        journal.append("interrupted", pending=[1])
         memo = EvalMemo()
+        memo.start_recording()
         memo.store({"a": 1.0}, 0.5, {"gain": 1.0})
-        journal.snapshot_memo(memo)
+        journal.append(
+            "interrupted", pending=[1],
+            memo=memo_entries_to_jsonable(memo.take_recorded()),
+        )
+        assert len(journal.load_memo_entries()) == 1
         journal.initialize({"fingerprint": "new"})
         assert list(journal.events()) == []
-        assert journal.load_memo() is None
+        assert journal.load_memo_entries() == {}
         assert journal.load_manifest()["fingerprint"] == "new"
 
     def test_memo_snapshot_roundtrip(self, tmp_path):
+        """A chain's memo delta rides its ``chain-finished`` record and
+        rebuilds exactly, problem scope included."""
+        from repro.parallel import ChainOutcome
+
         journal = RunJournal(tmp_path)
         journal.initialize({"fingerprint": "f"})
         memo = EvalMemo(capacity=100)
+        memo.bind("problem-a")
+        memo.store({"w": 1e-6, "l": 1e-6}, 0.125, {"gain": 1.0})  # earlier
+        memo.start_recording()
         memo.store({"w": 2e-6, "l": 1e-6}, 0.25, {"gain": 99.9})
-        memo.store({"w": 3e-6, "l": 1e-6}, 0.5, None)
-        journal.snapshot_memo(memo)
-        loaded = journal.load_memo()
-        assert loaded.capacity == 100
+        memo.store({"w": 3e-6, "l": 1e-6}, 0.5, None, "corner:ss")
+        outcome = ChainOutcome(
+            chain_index=0,
+            seed=1,
+            anneal=AnnealResult(
+                best_params={}, best_cost=0.25, best_metrics=None,
+                evaluations=2, accepted=1, history=[0.25],
+            ),
+            memo_snapshot=memo.export(memo.take_recorded()),
+        )
+        journal.record_outcome(outcome)
+        entries = journal.load_memo_entries()
+        assert len(entries) == 2  # only the chain's own delta
+        loaded = EvalMemo(capacity=100)
+        loaded.merge({"quantum": loaded.quantum, "data": entries})
+        loaded.bind("problem-a")
         assert loaded.lookup({"w": 2e-6, "l": 1e-6}) == (0.25, {"gain": 99.9})
-        assert loaded.lookup({"w": 3e-6, "l": 1e-6}) == (0.5, None)
+        assert loaded.lookup({"w": 3e-6, "l": 1e-6}, "corner:ss") == (0.5, None)
+        assert loaded.lookup({"w": 1e-6, "l": 1e-6}) is None
+        loaded.bind("problem-b")
+        assert loaded.lookup({"w": 2e-6, "l": 1e-6}) is None
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ApeError):
@@ -340,6 +371,62 @@ class TestResume:
         assert resumed.best_cost == reference.best_cost
         assert resumed.params == reference.params
         assert resumed.metrics == reference.metrics
+
+    @pytest.mark.timeout(300)
+    def test_pooled_resume_is_warmed_by_chain_deltas(self, tmp_path):
+        """A pooled run sharing a caller memo that already holds other
+        rows journals only its own evaluations; the resume replays
+        bit-for-bit, and its re-run chains hit the journaled entries."""
+        kwargs = dict(
+            seed=7, restarts=4, workers=2, oversubscribe=True, **RUN_KW
+        )
+        reference = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+
+        caller = EvalMemo()
+        other = OpAmpSpec(gain=150.0, ugf=3e6, ibias=2e-6, cl=10e-12)
+        synthesize_opamp(TECH, other, TOPO, memo=caller, **kwargs)
+        assert len(caller) > 0
+        run_dir = str(tmp_path / "run")
+        partial = synthesize_opamp(
+            TECH, SPEC, TOPO, memo=caller, run_dir=run_dir,
+            supervisor=_quiet_config(interrupt_after=2), **kwargs
+        )
+        assert partial.interrupted
+        journal = RunJournal(run_dir)
+        entries = journal.load_memo_entries()
+        assert 0 < len(entries) <= partial.evaluations
+        assert len({scope for scope, _key in entries}) == 1
+        finished = journal.load_outcomes()
+        replayed_hits = sum(o.cache_hits for o in finished.values())
+
+        # The same resume from a copy whose records lost their memo
+        # deltas: identical result, colder re-run chains.
+        cold_dir = str(tmp_path / "cold")
+        shutil.copytree(run_dir, cold_dir)
+        path = os.path.join(cold_dir, RunJournal.JOURNAL)
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in records:
+                record.pop("memo", None)
+                handle.write(json.dumps(record) + "\n")
+
+        resumed = synthesize_opamp(
+            TECH, SPEC, TOPO, run_dir=run_dir, resume=True, **kwargs
+        )
+        cold = synthesize_opamp(
+            TECH, SPEC, TOPO, run_dir=cold_dir, resume=True, **kwargs
+        )
+        assert resumed.resumed_chains == sorted(finished)
+        assert _chain_summary(resumed) == _chain_summary(reference)
+        assert _chain_summary(cold) == _chain_summary(reference)
+        assert resumed.best_cost == reference.best_cost
+        assert resumed.params == reference.params
+        assert resumed.metrics == reference.metrics
+        assert (
+            resumed.cache_hits - replayed_hits
+            > cold.cache_hits - replayed_hits
+        )
 
     @pytest.mark.timeout(300)
     def test_resume_of_finished_run_is_a_no_op(self, tmp_path):
