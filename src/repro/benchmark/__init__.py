@@ -3,7 +3,7 @@
 Six suites — the engine hot path (:func:`run_engine_benchmark`), the
 parallel multi-chain executor (:func:`run_parallel_benchmark`),
 corner-robust synthesis (:func:`run_robust_benchmark`), the
-sparse/batched linear-solve core (:func:`run_sparse_benchmark`), the
+sparse linear-solve backend (:func:`run_sparse_benchmark`), the
 static feasibility gate (:func:`run_analysis_benchmark`) and the
 persistent evaluation store with surrogate screening
 (:func:`run_store_benchmark`) — all return a

@@ -1,21 +1,12 @@
-"""Sparse-backend and batched-candidate benchmark (node-scaling curve).
+"""Sparse-backend benchmark (node-scaling curve).
 
-Two A/B comparisons, both run in one process on the same fixtures:
-
-* ``ac_ladder_<n>`` — an AC sweep over an RC ladder with ``n`` MNA
-  unknowns, solved once with the backend forced dense and once forced
-  sparse (:func:`repro.spice.linalg.solver_override`).  The ladder
-  sizes trace the scaling curve the ``auto`` mode's size threshold is
-  calibrated against: at op-amp size dense LAPACK wins (recorded as an
-  informational ``ac_opamp`` measure with no target), while at the
-  largest ladder SuperLU must win by the committed floor.
-* ``anneal_eval_batched`` — the annealer's candidate-evaluation hot
-  loop: K candidates evaluated by the scalar ``evaluate`` loop versus
-  one :meth:`~repro.synthesis.problems.OpAmpSizingProblem.evaluate_batch`
-  call, which runs the candidates' Newton iterations and balancing
-  bisections as ``(K, n, n)`` stacks with one batched LAPACK solve per
-  round.  Both sides produce bit-identical metrics, so the ratio is
-  pure solver/bookkeeping throughput.
+``ac_ladder_<n>`` — an AC sweep over an RC ladder with ``n`` MNA
+unknowns, solved once with the backend forced dense and once forced
+sparse (:func:`repro.spice.linalg.solver_override`).  The ladder sizes
+trace the scaling curve the ``auto`` mode's size threshold is
+calibrated against: at op-amp size dense LAPACK wins (recorded as an
+informational ``ac_opamp`` measure with no target), while at the
+largest ladder SuperLU must win by the committed floor.
 
 The entry point :func:`run_sparse_benchmark` returns a validated
 :class:`~repro.benchmark.report.BenchReport` serialized as
@@ -36,15 +27,14 @@ __all__ = [
     "SPARSE_TARGETS_QUICK",
 ]
 
-#: Acceptance floors (full mode): SuperLU must beat dense LAPACK by at
-#: least 3x on the largest ladder, and the batched candidate evaluator
-#: must beat the scalar loop by at least 1.5x.
-SPARSE_TARGETS = {"ac_ladder_1000": 3.0, "anneal_eval_batched": 1.5}
+#: Acceptance floor (full mode): SuperLU must beat dense LAPACK by at
+#: least 3x on the largest ladder.
+SPARSE_TARGETS = {"ac_ladder_1000": 3.0}
 
-#: Quick (CI smoke) floors: the big ladder is skipped — its dense
+#: Quick (CI smoke) floor: the big ladder is skipped — its dense
 #: baseline alone would dominate the smoke budget — so the mid-size
-#: ladder carries a looser floor, and batching must merely not lose.
-SPARSE_TARGETS_QUICK = {"ac_ladder_200": 2.0, "anneal_eval_batched": 1.0}
+#: ladder carries a looser floor.
+SPARSE_TARGETS_QUICK = {"ac_ladder_200": 2.0}
 
 #: Ladder sizes (total MNA unknowns) per mode.
 LADDER_SIZES = (50, 200, 1000)
@@ -87,34 +77,10 @@ def _module_chain_fixture(n_unknowns: int):
     return ckt, op
 
 
-def _batched_anneal_fixture(k_candidates: int = 8):
-    """Scalar vs batched sizing problems plus K perturbed candidates."""
-    from ..opamp import OpAmpSpec, coarse_design_opamp
-    from ..synthesis.problems import OpAmpSizingProblem, ape_ranges
-    from ..technology import generic_05um
-
-    tech = generic_05um()
-    template, _ = coarse_design_opamp(
-        tech, OpAmpSpec(gain=200.0, ugf=2e6, ibias=2e-6, cl=10e-12)
-    )
-    scalar = OpAmpSizingProblem(template, ape_ranges(template))
-    batched = OpAmpSizingProblem(template, ape_ranges(template))
-    base = template.initial_point()
-    # Upscale only: the coarse design pins the tail mirror's input W at
-    # the technology minimum, so any downscaled candidate would be
-    # lint-rejected before a single solve.
-    scales = [1.0 + 0.02 * k for k in range(k_candidates)]
-    params_list = [
-        {key: value * scale for key, value in base.items()}
-        for scale in scales
-    ]
-    return scalar, batched, params_list
-
-
 def run_sparse_benchmark(
     *, quick: bool = False, min_time: float | None = None
 ) -> BenchReport:
-    """A/B benchmark: sparse vs dense solves, batched vs scalar eval."""
+    """A/B benchmark: sparse vs dense solves."""
     from ..spice import solver_override
     from ..spice.ac import ac_analysis, log_frequencies
     from .suites import _opamp_fixture
@@ -171,36 +137,13 @@ def run_sparse_benchmark(
         {"unknowns": system.size, "frequencies": len(freqs)},
     )
 
-    scalar_problem, batched_problem, params_list = _batched_anneal_fixture()
-
-    def run_scalar():
-        return [scalar_problem.evaluate(p) for p in params_list]
-
-    def run_batched():
-        return batched_problem.evaluate_batch(params_list)
-
-    scalar_rate, scalar_reps = _ops_per_sec(run_scalar, min_time=min_time)
-    batched_rate, batched_reps = _ops_per_sec(run_batched, min_time=min_time)
-    measures["anneal_eval_batched"] = BenchMeasure(
-        name="anneal_eval_batched",
-        value=batched_rate,
-        baseline=scalar_rate,
-        ratio=batched_rate / scalar_rate,
-        unit="batches/s",
-        detail={
-            "candidates_per_batch": len(params_list),
-            "reps": {"batched": batched_reps, "scalar": scalar_reps},
-        },
-    )
-
     return BenchReport(
         suite="sparse",
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         quick=quick,
         baseline=(
             "dense LAPACK solves via solver_override('dense') for the "
-            "ladder/op-amp AC sweeps; scalar per-candidate evaluate() "
-            "loop for anneal_eval_batched"
+            "ladder/op-amp AC sweeps"
         ),
         measures=measures,
         targets=tuple(
@@ -217,7 +160,7 @@ def run_sparse_benchmark(
 def render_sparse_report(report: BenchReport) -> str:
     """Human-readable table for a :func:`run_sparse_benchmark` report."""
     lines = [
-        f"sparse/batched solve benchmark "
+        f"sparse solve benchmark "
         f"({'quick' if report.quick else 'full'})",
         f"{'measure':<20} {'contender/s':>12} {'baseline/s':>12} "
         f"{'speedup':>9}",

@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(deterministic jittered restarts; default: 0)")
     p.add_argument("--restarts", type=int, default=None,
                    help="independently seeded annealing chains; the best "
-                        "chain wins (default: 1, the classic serial run)")
+                        "chain wins (default: 1, one in-process chain)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for multi-restart runs "
                         "(default: one per usable CPU)")
@@ -247,16 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="benchmark the engine, the parallel synthesis executor, "
-             "corner-robust synthesis and the sparse/batched solve core",
+             "corner-robust synthesis and the sparse solve backend",
     )
     p.add_argument("--suite", default="engine",
                    choices=["engine", "parallel", "robust", "sparse",
                             "analysis", "store", "all"],
                    help="engine: compiled vs naive assembly; parallel: "
-                        "multi-chain executor vs serial legs; robust: "
+                        "multi-chain executor on N workers vs 1; robust: "
                         "corner-aware vs nominal-only synthesis; sparse: "
-                        "sparse vs dense solves and batched vs scalar "
-                        "candidate evaluation; analysis: static "
+                        "sparse vs dense solves; analysis: static "
                         "feasibility gate vs budgeted synthesis; store: "
                         "warm persistent-store runs and surrogate-ranked "
                         "annealing vs cold/off baselines "

@@ -12,7 +12,8 @@ Determinism contract (locked in by ``tests/test_parallel.py`` and
 * Chain ``i`` anneals with seed ``derive_chain_seed(master_seed, i)``
   and, when fault injection is configured, a fault injector seeded
   ``derive_chain_seed(fault_seed, i)`` armed for the duration of the
-  chain.  Both depend only on ``(seed, i)``.
+  chain.  Both depend only on ``(seed, i)``.  The chain's per-site
+  check/fire counts travel home on its :class:`ChainOutcome`.
 * Candidate evaluation is *canonical* (history-independent), so a
   chain's result is a pure function of its task — never of which
   worker ran it, in what order, or what the shared memo cache already
@@ -162,10 +163,6 @@ class ChainTask:
     fault_seed: int = 0
     #: Evaluation memo quantum; ``None`` disables memoization.
     memo_quantum: float | None = DEFAULT_QUANTUM
-    #: Evaluation profile: run-constant warm-started DC solves and
-    #: in-place bench updates (both canonical, see the module docstring).
-    warm_start: bool = True
-    reuse_bench: bool = True
     #: Optional :class:`~repro.synthesis.robust.RobustSpec` — when set,
     #: every candidate is evaluated across its corners/Monte Carlo
     #: samples and the chain anneals on the aggregated robust cost.
@@ -197,7 +194,9 @@ class ChainTask:
         Chains of one synthesis run (and repeated runs of the same
         table row) share the signature, so a worker builds the
         template, variables and compiled MNA system once and reuses
-        them via ``System.rebind`` for every such chain.
+        them via ``System.rebind`` for every such chain.  ``tolerant``
+        is part of it: a strict run must run the strict APE design,
+        never reuse a tolerant run's relaxed template.
         """
         return pickle.dumps(
             (
@@ -208,10 +207,9 @@ class ChainTask:
                 self.synthesis_spec,
                 self.name,
                 self.range_factor,
+                self.tolerant,
                 self.lint,
                 self.memo_quantum,
-                self.warm_start,
-                self.reuse_bench,
                 self.robust,
                 self.box_override,
                 self.store_dir,
@@ -244,6 +242,11 @@ class ChainOutcome:
     surrogate_skips: int = 0
     surrogate_refits: int = 0
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    #: Per-site check and fire counts of the chain's own fault
+    #: injector (empty without fault injection); the caller folds them
+    #: into its armed injector.
+    fault_checks: dict[str, int] = field(default_factory=dict)
+    fault_fires: dict[str, int] = field(default_factory=dict)
     #: The evaluating memo's snapshot restricted to the entries this
     #: chain evaluated (``None`` without a memo): merged into the
     #: caller's memo (a no-op for the caller's own memo) and journaled.
@@ -253,9 +256,12 @@ class ChainOutcome:
 # Worker-local state, keyed by ChainTask.problem_key(): the sizing
 # problem (with its compiled MNA system) and the worker's memo cache
 # survive across the chains one worker executes.  In pool workers the
-# caches die with the process (PoolManager guarantees teardown); the
-# in-process caches are bounded by the distinct problem signatures of
-# one session and can be dropped with clear_worker_caches().
+# caches die with the process (PoolManager guarantees teardown).  Every
+# synthesis run evaluates in-process chains, so the in-process caches
+# keep at most _BUNDLE_CAPACITY problems (oldest dropped first; a
+# dropped problem is rebuilt identically) and can be dropped with
+# clear_worker_caches().
+_BUNDLE_CAPACITY = 128
 _WORKER_BUNDLES: dict[bytes, tuple] = {}
 _WORKER_MEMOS: dict[bytes, EvalMemo] = {}
 _WORKER_ROBUST: dict[bytes, object] = {}
@@ -388,9 +394,16 @@ def _memo_for(task: ChainTask, shared_memo: EvalMemo | None) -> EvalMemo | None:
 
 
 def _bundle_for(task: ChainTask):
-    """(x0, cost_fn, problem, design_notes, ape_seconds) for a task."""
+    """(x0, cost_fn, problem, design_notes, ape_seconds) for a task.
+
+    Cached per problem signature — except while a fault injector is
+    armed: then every chain builds its own bundle, so the APE design's
+    fault checks happen once per chain (exactly as the memo is bypassed
+    for the evaluations), whoever ran the problem before.
+    """
+    armed = faults.active() is not None
     key = task.problem_key()
-    bundle = _WORKER_BUNDLES.get(key)
+    bundle = None if armed else _WORKER_BUNDLES.get(key)
     if bundle is None:
         from ..opamp import coarse_design_opamp, design_opamp
         from ..synthesis.problems import (
@@ -437,45 +450,47 @@ def _bundle_for(task: ChainTask):
         if synthesis_spec is None:
             synthesis_spec = opamp_synthesis_spec(task.spec)
         cost_fn = CostFunction(synthesis_spec)
-        problem = OpAmpSizingProblem(
-            template,
-            variables,
-            lint=task.lint,
-            warm_start=task.warm_start,
-            reuse_bench=task.reuse_bench,
-        )
+        problem = OpAmpSizingProblem(template, variables, lint=task.lint)
         bundle = (x0, cost_fn, problem, design_notes, ape_seconds)
-        _WORKER_BUNDLES[key] = bundle
+        if not armed:
+            if len(_WORKER_BUNDLES) >= _BUNDLE_CAPACITY:
+                oldest = next(iter(_WORKER_BUNDLES))
+                del _WORKER_BUNDLES[oldest]
+                _WORKER_ROBUST.pop(oldest, None)
+                _WORKER_MEMOS.pop(oldest, None)
+            _WORKER_BUNDLES[key] = bundle
     return bundle
 
 
-def _robust_evaluator_for(task: ChainTask):
-    """The worker-cached :class:`RobustEvaluator` for a robust task.
+def _robust_evaluator_for(task: ChainTask, bundle=None):
+    """The :class:`RobustEvaluator` for a robust task (``None`` if plain).
 
-    Shares the bundle's nominal problem (and its compiled MNA system);
-    the corner/Monte Carlo problems live alongside it for every chain
-    of the same signature this worker runs.  Returns ``None`` for
-    plain (non-robust) tasks.
+    Shares the nominal problem (and its compiled MNA system) of
+    ``bundle`` — by default the task's :func:`_bundle_for`; the
+    corner/Monte Carlo problems live alongside it for every chain of
+    the same signature this worker runs.  A fresh (fault-injected)
+    bundle gets a fresh evaluator.
     """
     if task.robust is None:
         return None
+    if bundle is None:
+        bundle = _bundle_for(task)
     key = task.problem_key()
     evaluator = _WORKER_ROBUST.get(key)
-    if evaluator is None:
+    _x0, cost_fn, problem, _notes, _ape = bundle
+    if evaluator is None or evaluator.nominal is not problem:
         from ..synthesis.robust import RobustEvaluator
 
-        _x0, cost_fn, problem, _notes, _ape = _bundle_for(task)
         evaluator = RobustEvaluator(
             problem.template,
             problem.variables,
             task.robust,
             cost_fn.spec,
             lint=task.lint,
-            warm_start=task.warm_start,
-            reuse_bench=task.reuse_bench,
             nominal_problem=problem,
         )
-        _WORKER_ROBUST[key] = evaluator
+        if _WORKER_BUNDLES.get(key) is bundle:
+            _WORKER_ROBUST[key] = evaluator
     return evaluator
 
 
@@ -500,14 +515,21 @@ def robust_variant_eval(item):
             faults.arm(previous)
 
 
-def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutcome:
+def run_chain(
+    task: ChainTask,
+    shared_memo: EvalMemo | None = None,
+    budget: EvalBudget | None = None,
+) -> ChainOutcome:
     """Execute one annealing chain described by ``task``.
 
     Runs in a pool worker or in-process; behaviour is identical either
     way because everything the chain consumes is derived from the task
     (and because evaluation is canonical, shared-memo contents cannot
     change results — only how fast they arrive).  A ``shared_memo``
-    must be bound to ``task.fingerprint``.
+    must be bound to ``task.fingerprint``.  In-process callers may pass
+    the run's ``budget``: the chain then keeps the deadline on that
+    budget's own clock (:meth:`EvalBudget.for_chain`) instead of the
+    task's monotonic ``deadline_epoch``.
     """
     previous_injector = faults.active()
     if task.fault_specs is not None:
@@ -519,7 +541,8 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
         )
     try:
         _heartbeat(task.chain_index)
-        x0, cost_fn, problem, design_notes, ape_seconds = _bundle_for(task)
+        bundle = _bundle_for(task)
+        x0, cost_fn, problem, design_notes, ape_seconds = bundle
         memo = _memo_for(task, shared_memo)
         if faults.active() is not None:
             # Injected faults are decided per *call* from a seeded RNG
@@ -538,7 +561,7 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
             else None
         )
         problem.retry = retry
-        evaluator = _robust_evaluator_for(task)
+        evaluator = _robust_evaluator_for(task, bundle)
         if evaluator is not None:
             # The evaluator (and its variant problems) is worker-cached
             # across chains; rebind this chain's log/retry/memo.  Memo
@@ -621,8 +644,9 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
             _heartbeat(_idx)
             return _inner(params)
 
-        budget = None
-        if (
+        if budget is not None:
+            budget = budget.for_chain()
+        elif (
             task.deadline_epoch is not None
             or task.max_failures is not None
             or task.per_eval_seconds is not None
@@ -646,6 +670,7 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
         result = annealer.run(
             x0=x0, max_evaluations=task.max_evaluations, budget=budget
         )
+        injector = faults.active() if task.fault_specs is not None else None
         return ChainOutcome(
             chain_index=task.chain_index,
             seed=derive_chain_seed(task.seed, task.chain_index),
@@ -673,6 +698,12 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
             surrogate_skips=result.surrogate_skips,
             surrogate_refits=result.surrogate_refits,
             diagnostics=list(chain_log.records),
+            fault_checks=(
+                dict(injector.checks_by_site) if injector is not None else {}
+            ),
+            fault_fires=(
+                dict(injector.fires_by_site) if injector is not None else {}
+            ),
             memo_snapshot=(
                 memo.export(memo.take_recorded())
                 if memo is not None else None
@@ -720,6 +751,7 @@ def run_supervised_chains(
     oversubscribe: bool = False,
     config: SupervisorConfig | None = None,
     journal=None,
+    budget: EvalBudget | None = None,
 ) -> tuple[dict[int, ChainOutcome], SupervisionReport]:
     """Run chains under supervision; return outcomes + what happened.
 
@@ -736,6 +768,9 @@ def run_supervised_chains(
     ``journal`` is given, and each chain's memo delta is merged into
     ``memo`` as it finishes.  ``memo`` must be bound to the tasks'
     fingerprint; pool workers read it as their memos' read tier.
+    In-process chains keep ``budget``'s deadline on its own clock
+    (see :func:`run_chain`); pool workers use the tasks'
+    ``deadline_epoch``.
 
     The returned mapping holds one outcome per *completed* chain —
     interrupts and quarantines leave gaps instead of raising, so the
@@ -804,7 +839,7 @@ def run_supervised_chains(
     if n_workers <= 1:
         try:
             _run_in_process(
-                tasks, memo, config, report,
+                tasks, memo, budget, config, report,
                 finish=finish,
                 synthetic_stop=synthetic_stop,
                 note_interrupt=note_interrupt,
@@ -829,8 +864,8 @@ def run_supervised_chains(
 
 
 def _run_in_process(
-    tasks, memo, config, report, *, finish, synthetic_stop, note_interrupt,
-    outcomes,
+    tasks, memo, budget, config, report, *, finish, synthetic_stop,
+    note_interrupt, outcomes,
 ) -> None:
     def unfinished():
         return [
@@ -844,7 +879,7 @@ def _run_in_process(
                 note_interrupt(unfinished(), "stop requested between chains")
                 break
             try:
-                outcome = run_chain(task, shared_memo=memo)
+                outcome = run_chain(task, shared_memo=memo, budget=budget)
             except KeyboardInterrupt:
                 note_interrupt(unfinished(), "interrupted mid-chain")
                 break

@@ -81,6 +81,22 @@ class EvalBudget:
             return 0.0
         return self._clock() - self._t0
 
+    def for_chain(self) -> "EvalBudget":
+        """One annealing chain's share of this budget.
+
+        Same clock, start instant and deadline, so every chain stops at
+        the same moment; fresh counters, so failure and per-evaluation
+        limits apply per chain.
+        """
+        share = EvalBudget(
+            deadline_seconds=self.deadline_seconds,
+            max_failures=self.max_failures,
+            per_eval_seconds=self.per_eval_seconds,
+            clock=self._clock,
+        )
+        share._t0 = self.start()._t0
+        return share
+
     # ----------------------------------------------------------- accounting
 
     def consume(self, *, failed: bool = False, seconds: float = 0.0) -> None:

@@ -209,6 +209,15 @@ class FaultInjector:
         self.fires_by_site[site] = self.fires_by_site.get(site, 0) + 1
         return True
 
+    def absorb(self, checks: Mapping[str, int], fires: Mapping[str, int]) -> None:
+        """Add another injector's per-site check/fire counts to ours."""
+        for mine, theirs in (
+            (self.checks_by_site, checks),
+            (self.fires_by_site, fires),
+        ):
+            for site, count in theirs.items():
+                mine[site] = mine.get(site, 0) + count
+
     def total_fires(self) -> int:
         return sum(self.fires_by_site.values())
 

@@ -267,10 +267,6 @@ class _MosVectors:
         self._cap_live_a0 = a0 >= 0
         self._cap_live_b0 = b0 >= 0
         self._cap_live_ab0 = self._cap_live_a0 & self._cap_live_b0
-        # Lazily built flat scatter index for stamp_batched (block size
-        # is only known at the first batched call).
-        self._j0_flat: np.ndarray | None = None
-        self._j0_flat_n = -1
 
     def linearize(self, x: np.ndarray):
         """Per-device stamp arrays at bias ``x``.
@@ -415,76 +411,6 @@ class _MosVectors:
         half[1] = half[0]
         live = (rows >= 0) & (cols >= 0)
         np.add.at(jac, (rows[live], cols[live]), vals[live])
-
-    def stamp_batched(
-        self, x: np.ndarray, res2: np.ndarray, jac3: np.ndarray
-    ) -> None:
-        """Conduction stamps for a candidate *batch* sharing this vector.
-
-        Built for instances whose device terminal indices were offset
-        by ``k * n`` per candidate (see ``repro.spice.batch``): ``x``
-        is the flattened ``(K * n,)`` bias stack, ``res2`` the ``(K,
-        n)`` residual stack and ``jac3`` the ``(K, n, n)`` Jacobian
-        stack.  Every device's terminals live inside one candidate's
-        block, so a combined-space entry ``(k*n + r, k*n + c)`` lands
-        at flat offset ``k*n² + r*n + c`` of ``jac3`` — the same
-        values, in the same ``np.add.at`` accumulation order, as K
-        separate per-candidate :meth:`stamp` calls.
-        """
-        dp, sp, i_dp, g_dd, g_dg, g_ds, g_db, no_swap = self.linearize(x)
-        n = jac3.shape[-1]
-        jac_flat = jac3.reshape(-1)
-        res_flat = res2.reshape(-1)
-        m = self.count
-        vals = self._vals
-        vhalf = vals.reshape(2, 4, m)
-        vhalf[0, 0] = g_dd
-        vhalf[0, 1] = g_dg
-        vhalf[0, 2] = g_ds
-        vhalf[0, 3] = g_db
-        np.negative(vhalf[0], out=vhalf[1])
-        if no_swap:
-            d_live = self._res_d_live
-            np.add.at(
-                res_flat, self._res_d_idx,
-                i_dp if d_live is None else i_dp[d_live],
-            )
-            s_live = self._res_s_live
-            np.add.at(
-                res_flat, self._res_s_idx,
-                -i_dp if s_live is None else -i_dp[s_live],
-            )
-            if self._j0_flat is None or self._j0_flat_n != n:
-                self._j0_flat = (
-                    self._j0_rows * n
-                    + self._j0_cols
-                    - (self._j0_rows // n) * n
-                )
-                self._j0_flat_n = n
-            j_live = self._j0_live
-            np.add.at(
-                jac_flat, self._j0_flat,
-                vals if j_live is None else vals[j_live],
-            )
-            return
-        live = dp >= 0
-        np.add.at(res_flat, dp[live], i_dp[live])
-        live = sp >= 0
-        np.add.at(res_flat, sp[live], -i_dp[live])
-        rows = self._rows
-        cols = self._cols
-        rows.reshape(8, m)[:4] = dp
-        rows.reshape(8, m)[4:] = sp
-        half = cols.reshape(2, 4, m)
-        half[0, 0] = dp
-        half[0, 1] = self.raw_g
-        half[0, 2] = sp
-        half[0, 3] = self.raw_b
-        half[1] = half[0]
-        live = (rows >= 0) & (cols >= 0)
-        fr = rows[live]
-        fc = cols[live]
-        np.add.at(jac_flat, fr * n + fc - (fr // n) * n, vals[live])
 
     def stamp_caps(self, x: np.ndarray, cmat: np.ndarray) -> None:
         """Add every device's Meyer + junction capacitance stamp.
@@ -816,9 +742,8 @@ class CompiledStamps:
                 if new != old:
                     mos_changes.append(new)
             elif isinstance(new, (VoltageSource, CurrentSource)):
-                # Bias retargeting: only the ``dc`` field may move (the
-                # same restriction as CandidateBatch.retarget); an AC
-                # magnitude or waveform edit changes which compiled
+                # Bias retargeting: only the ``dc`` field may move; an
+                # AC magnitude or waveform edit changes which compiled
                 # vectors an element lands in, so it rebuilds.
                 if replace(new, dc=old.dc) != old:
                     return False

@@ -26,18 +26,22 @@ identical to the strict one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 
 from ..errors import ApeError, SpecificationError
-from ..opamp import OpAmp, OpAmpSpec, OpAmpTopology, coarse_design_opamp, design_opamp
+from ..opamp import OpAmpSpec, OpAmpTopology
+# Not called here: the APE design runs in the executor's
+# ``_bundle_for``.  Kept importable from this module because
+# ``perfbench/tracer.py`` resolves both names here with ``getattr`` when
+# it installs its wrappers.
+from ..opamp import coarse_design_opamp, design_opamp  # noqa: F401
 from ..runtime.budget import EvalBudget
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
 from ..technology import Technology
-from .annealing import Annealer, AnnealingSchedule, AnnealResult
+from .annealing import AnnealingSchedule, AnnealResult
 from .cost import CostFunction, FAILURE_COST, RobustCost
-from .problems import OpAmpSizingProblem, Variable, ape_ranges, standalone_ranges
-from .robust import RobustEvaluator, RobustSpec
+from .robust import RobustSpec
 from .specs import SynthesisSpec, opamp_synthesis_spec
 
 from typing import TYPE_CHECKING
@@ -86,8 +90,8 @@ class SynthesisResult:
     degraded: bool = False
     #: Structured failure/degradation records accumulated by the run.
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Independent annealing chains this run fanned out (1 = classic
-    #: serial run) and the worker processes that executed them.
+    #: Independent annealing chains this run fanned out (1 = one
+    #: in-process chain) and the worker processes that executed them.
     restarts: int = 1
     workers: int = 1
     #: Evaluation memo-cache traffic across all chains of this run.
@@ -189,14 +193,16 @@ def synthesize_opamp(
     out-of-technology circuits are rejected before a Newton solve;
     rejections are counted on ``SynthesisResult.lint_rejections``.
 
-    ``restarts`` fans out that many independently seeded annealing
+    Every run evaluates candidates the same way: as annealing chains
+    of :func:`repro.parallel.run_chain` (DC solves warm-started from
+    the template's operating point, candidate benches updated in
+    place).  ``restarts`` fans out that many independently seeded
     chains (chain ``i`` anneals with a seed derived from ``(seed, i)``;
-    chain 0 keeps ``seed``) across ``workers`` processes via
-    :mod:`repro.parallel` and returns the best chain; the per-chain
-    :class:`AnnealResult`s land on ``SynthesisResult.chains``.  Chains
-    run with the executor's fast evaluation profile (memoized,
-    warm-started, in-place benches), so ``restarts=1`` — the default,
-    bit-for-bit the classic serial path — is the reference behaviour.
+    chain 0 keeps ``seed``) across ``workers`` processes and returns
+    the best chain; the per-chain :class:`AnnealResult`s land on
+    ``SynthesisResult.chains``.  ``restarts=1`` (the default) runs its
+    one chain in this process and starts no process pool; its result
+    is bit-for-bit chain 0 of any multi-restart run with the same seed.
     ``memo`` controls the evaluation cache: ``None`` enables a private
     cache for multi-restart runs only, ``True``/``False`` force it, and
     an :class:`~repro.parallel.EvalMemo` instance is used directly, so
@@ -290,8 +296,7 @@ def synthesize_opamp(
     # Shared logs/policies may carry state from earlier runs; report
     # only this run's contribution.
     records_before = len(log.records)
-    retries_before = retry.total_retries if retry is not None else 0
-    memo_obj = _resolve_memo(
+    memo = _resolve_memo(
         memo,
         restarts,
         journaled=run_dir is not None,
@@ -341,9 +346,9 @@ def synthesize_opamp(
             if contracted != dict(feasibility_report.box):
                 box_override = contracted
 
-    fingerprint = None
-    if memo_obj is not None:
-        fingerprint = _problem_fingerprint(
+    problem_fingerprint = None
+    if memo is not None:
+        problem_fingerprint = _problem_fingerprint(
             tech=tech,
             spec=spec,
             topology=topology,
@@ -355,456 +360,9 @@ def synthesize_opamp(
             lint=lint,
             robust=robust,
             box_override=box_override,
-            quantum=memo_obj.quantum,
+            quantum=memo.quantum,
         )
 
-    if (
-        restarts > 1
-        or run_dir is not None
-        or store_dir is not None
-        or surrogate != "off"
-    ):
-        # Store-backed and surrogate-guided runs route through the
-        # executor path even at restarts=1: it owns the memo/store
-        # two-tier plumbing, and its single-chain trajectory is the
-        # same canonical evaluation sequence as the serial path.
-        return _synthesize_parallel(
-            tech=tech,
-            spec=spec,
-            topology=topology,
-            mode=mode,
-            synthesis_spec=synthesis_spec,
-            cost_fn=cost_fn,
-            range_factor=range_factor,
-            max_evaluations=max_evaluations,
-            schedule=schedule,
-            seed=seed,
-            name=name,
-            tolerant=tolerant,
-            budget=budget,
-            retry=retry,
-            log=log,
-            records_before=records_before,
-            lint=lint,
-            restarts=restarts,
-            workers=workers,
-            memo=memo_obj,
-            problem_fingerprint=fingerprint,
-            oversubscribe=oversubscribe,
-            run_dir=run_dir,
-            resume=resume,
-            supervisor=supervisor,
-            robust=robust,
-            feasibility=feasibility,
-            feasibility_report=feasibility_report,
-            box_override=box_override,
-            store_dir=store_dir,
-            surrogate=surrogate,
-        )
-
-    # APE always provides the *structure* (ASTRX/OBLX also receives the
-    # topology); in standalone mode its sizes are discarded.
-    if budget is not None:
-        budget.start()
-    degraded_design = False
-    ape_start = time.perf_counter()
-    if tolerant:
-        template, design_notes = coarse_design_opamp(
-            tech, spec, topology, name=name
-        )
-        if design_notes:
-            degraded_design = True
-            for note in design_notes:
-                log.record(note)
-    else:
-        template = design_opamp(tech, spec, topology, name=name)
-    ape_seconds = time.perf_counter() - ape_start
-
-    if mode == "ape":
-        variables = ape_ranges(template, factor=range_factor)
-    else:
-        variables = standalone_ranges(template)
-    if box_override is not None:
-        # The feasibility gate's contracted box: same variables, same
-        # order, each range replaced by its spec-consistent sub-interval.
-        variables = [
-            Variable(v.name, *box_override.get(v.name, (v.lo, v.hi)))
-            for v in variables
-        ]
-    if mode == "ape":
-        x0 = {
-            v.name: min(max(template.initial_point().get(v.name, v.lo), v.lo), v.hi)
-            for v in variables
-        }
-    else:
-        x0 = None  # random start inside the wide box
-
-    problem = OpAmpSizingProblem(
-        template,
-        variables,
-        retry=retry,
-        diagnostics=log if tolerant else None,
-        lint=lint,
-    )
-    robust_eval = None
-    if robust is not None:
-        robust_eval = RobustEvaluator(
-            template,
-            variables,
-            robust,
-            synthesis_spec,
-            retry=retry,
-            diagnostics=log if tolerant else None,
-            lint=lint,
-            nominal_problem=problem,
-        )
-
-    def evaluate(params: dict[str, float]):
-        if robust_eval is not None:
-            return robust_eval.evaluate(params)
-        metrics = problem.evaluate(params)
-        return cost_fn(metrics), metrics
-
-    def evaluate_tolerant(params: dict[str, float]):
-        # The problem already absorbs the expected simulation failures;
-        # this is the last line of defence against anything else in the
-        # stack, so one bad candidate can never abort a whole table run.
-        try:
-            return evaluate(params)
-        except ApeError as exc:
-            log.record_exception(
-                "synthesis.evaluate",
-                exc,
-                severity="warning",
-                suggested_fix="candidate penalized; see the exception chain",
-            )
-            return FAILURE_COST, None
-
-    chain_eval = evaluate_tolerant if tolerant else evaluate
-    hits_before = memo_obj.hits if memo_obj is not None else 0
-    misses_before = memo_obj.misses if memo_obj is not None else 0
-    if memo_obj is not None:
-        memo_obj.bind(fingerprint)
-    if memo_obj is not None and robust_eval is None:
-        # Explicit opt-in on a serial run (restarts=1 never enables the
-        # memo by itself): cache hits skip the evaluation entirely,
-        # which is exact for canonical evaluations but visible to an
-        # armed fault injector's call sequence.
-        chain_eval = memo_obj.wrap(chain_eval)
-    elif robust_eval is not None:
-        # Robust runs memoize per variant (tagged keys) inside the
-        # evaluator instead of wrapping the aggregated cost.
-        robust_eval.memo = memo_obj
-    annealer = Annealer(
-        chain_eval,
-        problem.bounds(),
-        schedule=schedule,
-        seed=seed,
-    )
-    start = time.perf_counter()
-    result: AnnealResult = annealer.run(
-        x0=x0, max_evaluations=max_evaluations, budget=budget
-    )
-    cpu = time.perf_counter() - start
-
-    if result.degraded:
-        log.record(
-            Diagnostic(
-                subsystem="synthesis.engine",
-                severity="warning",
-                message=(
-                    f"{name}: annealing stopped early ({result.stop_reason}) "
-                    f"after {result.evaluations} evaluations; returning the "
-                    "best point so far"
-                ),
-                suggested_fix=(
-                    "raise the budget's deadline/failure limits or reduce "
-                    "max_evaluations to finish within budget"
-                ),
-                context={
-                    "name": name,
-                    "mode": mode,
-                    "stop_reason": result.stop_reason,
-                },
-            )
-        )
-
-    meets = cost_fn.meets_spec(result.best_metrics)
-    robust_detail: dict | None = None
-    worst_corner = None
-    estimated_yield = None
-    corner_evals = 0
-    screened = 0
-    if robust_eval is not None:
-        screened = robust_eval.screened_candidates
-        if result.best_params:
-            # Final verification: the winning design's full fan-out
-            # (screening ignored), the basis of the robust report.
-            robust_detail = robust_eval.detail(result.best_params)
-            worst_corner = robust_eval.cost.worst_variant(robust_detail)
-            estimated_yield = robust_eval.cost.estimated_yield(robust_detail)
-            meets = robust_eval.cost.meets_spec(robust_detail)
-        corner_evals = robust_eval.corner_evaluations
-        if budget is not None:
-            budget.corner_evaluations += corner_evals
-    from ..runtime.stats import global_stats
-
-    global_stats().record_run(
-        evaluations=result.evaluations,
-        seconds=cpu,
-        corner_evals=corner_evals,
-        cache_hits=(memo_obj.hits - hits_before) if memo_obj is not None else 0,
-        cache_misses=(
-            (memo_obj.misses - misses_before) if memo_obj is not None else 0
-        ),
-    )
-    return SynthesisResult(
-        name=name,
-        mode=mode,
-        meets_spec=meets,
-        comment=cost_fn.describe_failure(result.best_metrics),
-        metrics=result.best_metrics,
-        best_cost=result.best_cost,
-        evaluations=result.evaluations,
-        cpu_seconds=cpu,
-        ape_seconds=ape_seconds,
-        params=result.best_params,
-        failed_evaluations=result.failed_evaluations,
-        lint_rejections=problem.lint_rejections,
-        retries=(
-            retry.total_retries - retries_before if retry is not None else 0
-        ),
-        degraded=(
-            degraded_design
-            or result.degraded
-            or result.best_metrics is None
-            or (
-                robust_detail is not None
-                and any(m is None for m in robust_detail.values())
-            )
-        ),
-        diagnostics=list(log.records[records_before:]),
-        restarts=1,
-        workers=1,
-        cache_hits=(
-            (memo_obj.hits - hits_before) if memo_obj is not None else 0
-        ),
-        cache_misses=(
-            (memo_obj.misses - misses_before) if memo_obj is not None else 0
-        ),
-        evals_per_second=result.evals_per_second,
-        chains=[result],
-        robust_mode=robust.mode if robust is not None else None,
-        corner_evals=corner_evals,
-        screened_candidates=screened,
-        worst_corner=worst_corner,
-        estimated_yield=estimated_yield,
-        corner_metrics=robust_detail if robust_detail is not None else {},
-        feasibility=feasibility_report,
-    )
-
-
-def _feasibility_gate(
-    tech,
-    spec,
-    topology,
-    synthesis_spec,
-    *,
-    mode,
-    range_factor,
-    contract,
-    name,
-    log,
-):
-    """Run the static analysis pre-gate; never raises, never blocks.
-
-    Analysis failures (unsupported topology, even a crash in the
-    analyzer) degrade to "no verdict": synthesis proceeds exactly as if
-    the gate had passed, with a diagnostic recording why.
-    """
-    from ..analysis import analyze_problem
-
-    try:
-        report = analyze_problem(
-            tech,
-            spec,
-            topology,
-            synthesis_spec,
-            mode=mode,
-            range_factor=range_factor,
-            contract=contract,
-            name=name,
-        )
-    except ApeError as exc:
-        log.record_exception(
-            "synthesis.feasibility",
-            exc,
-            severity="warning",
-            suggested_fix="feasibility gate skipped; synthesis proceeds ungated",
-        )
-        return None
-    if not report.feasible:
-        for finding in report.findings:
-            if finding.severity != "error":
-                continue
-            log.record(
-                Diagnostic(
-                    subsystem="synthesis.feasibility",
-                    severity="error",
-                    message=f"{name}: {finding.render()}",
-                    suggested_fix=finding.fix_hint,
-                    context={
-                        "name": name,
-                        "code": finding.code,
-                        "metric": finding.metric,
-                    },
-                )
-            )
-    return report
-
-
-def _resolve_memo(
-    memo, restarts: int, *, journaled: bool = False, stored: bool = False
-):
-    """Normalize the ``memo`` argument to an EvalMemo or ``None``.
-
-    ``None`` means "default policy": cache only when the run fans out
-    multiple chains, is journaled (a resumed run wants its warm cache
-    back) or is store-backed (the memo is the store's front tier) — a
-    plain serial run stays exactly the classic code path (and keeps
-    exact-count fault-injection accounting).
-    """
-    from ..parallel import EvalMemo
-
-    if isinstance(memo, EvalMemo):
-        return memo
-    if memo is True or (
-        memo is None and (restarts > 1 or journaled or stored)
-    ):
-        return EvalMemo()
-    return None
-
-
-def _problem_fingerprint(
-    *, tech, spec, topology, mode, synthesis_spec, name, range_factor,
-    tolerant, lint, robust, box_override, quantum,
-):
-    """Content identity of one sizing problem: the memo scope and store
-    namespace.
-
-    Everything the evaluation function depends on is part of it —
-    conservative on purpose: a fingerprint that is too fine costs warm
-    hits, one that is too coarse would serve one problem's cost to
-    another.  The ``kind`` tag and parts are those the persistent store
-    has always keyed by, so stores on disk stay warm.
-    """
-    return _run_fingerprint(
-        kind="eval-store/1",
-        tech=repr(tech),
-        spec=repr(spec),
-        topology=repr(topology),
-        mode=mode,
-        synthesis_spec=repr(synthesis_spec),
-        name=name,
-        range_factor=range_factor,
-        tolerant=tolerant,
-        lint=lint,
-        robust=repr(robust) if robust is not None else None,
-        box=repr(_box_key(box_override)),
-        quantum=quantum,
-    )
-
-
-def _box_key(box_override):
-    """Hashable, pickle-stable form of a contracted box (or ``None``)."""
-    if box_override is None:
-        return None
-    return tuple(sorted(box_override.items()))
-
-
-def _run_fingerprint(**parts):
-    """Problem identity for the run journal (see ``run_fingerprint``)."""
-    from ..runtime.journal import run_fingerprint
-
-    return run_fingerprint(tuple(sorted(parts.items())))
-
-
-def _robust_verify(task, robust, params, *, journal, workers, oversubscribe):
-    """Final per-variant verification of a winning robust design.
-
-    Fans the variant labels over the process pool
-    (:func:`~repro.parallel.parallel_map`) — corners are a second axis
-    of parallelism next to chains.  The detail is journaled
-    (``robust-verified``) keyed by the exact winning parameters, so a
-    resumed run replays the recorded fan-out instead of recomputing it
-    (JSON floats round-trip exactly, keeping resume bit-for-bit).
-    """
-    from ..parallel import parallel_map
-    from ..parallel.executor import robust_variant_eval
-
-    if journal is not None:
-        for record in journal.events():
-            if (
-                record.get("event") == "robust-verified"
-                and record.get("params") == params
-            ):
-                return {
-                    label: dict(metrics) if metrics is not None else None
-                    for label, metrics in record["detail"].items()
-                }
-    pairs = parallel_map(
-        robust_variant_eval,
-        [(task, label, params) for label in robust.variant_labels],
-        workers=workers,
-        oversubscribe=oversubscribe,
-    )
-    detail = dict(pairs)
-    if journal is not None:
-        journal.append("robust-verified", params=params, detail=detail)
-    return detail
-
-
-def _synthesize_parallel(
-    *,
-    tech,
-    spec,
-    topology,
-    mode,
-    synthesis_spec,
-    cost_fn,
-    range_factor,
-    max_evaluations,
-    schedule,
-    seed,
-    name,
-    tolerant,
-    budget,
-    retry,
-    log,
-    records_before,
-    lint,
-    restarts,
-    workers,
-    memo,
-    problem_fingerprint,
-    oversubscribe,
-    run_dir=None,
-    resume=False,
-    supervisor=None,
-    robust=None,
-    feasibility="off",
-    feasibility_report=None,
-    box_override=None,
-    store_dir=None,
-    surrogate="off",
-):
-    """Fan ``restarts`` chains across the pool and merge the outcomes.
-
-    The supervised path: chains lost to killed/hung workers are re-run
-    (bounded, then quarantined), interrupts drain to a partial result,
-    and — when ``run_dir`` is set — every finished chain is journaled
-    write-ahead so ``resume=True`` replays it instead of re-running it.
-    """
     from ..parallel import (
         ChainTask,
         derive_chain_seed,
@@ -936,37 +494,38 @@ def _synthesize_parallel(
                 manifest_payload["store_generation"] = store_generation
             journal.initialize(manifest_payload)
 
+    base_task = ChainTask(
+        tech=tech,
+        spec=spec,
+        topology=topology,
+        mode=mode,
+        synthesis_spec=synthesis_spec,
+        name=name,
+        range_factor=range_factor,
+        max_evaluations=max_evaluations,
+        schedule=schedule,
+        seed=seed,
+        chain_index=0,
+        tolerant=tolerant,
+        lint=lint,
+        retry=retry,
+        deadline_epoch=deadline_epoch,
+        max_failures=budget.max_failures if budget is not None else None,
+        per_eval_seconds=(
+            budget.per_eval_seconds if budget is not None else None
+        ),
+        fault_specs=fault_specs,
+        fault_seed=fault_seed,
+        memo_quantum=memo.quantum if memo is not None else None,
+        robust=robust,
+        box_override=_box_key(box_override),
+        store_dir=str(store_dir) if store is not None else None,
+        fingerprint=problem_fingerprint,
+        store_generation=store_generation,
+        surrogate=surrogate,
+    )
     tasks = [
-        ChainTask(
-            tech=tech,
-            spec=spec,
-            topology=topology,
-            mode=mode,
-            synthesis_spec=synthesis_spec,
-            name=name,
-            range_factor=range_factor,
-            max_evaluations=max_evaluations,
-            schedule=schedule,
-            seed=seed,
-            chain_index=index,
-            tolerant=tolerant,
-            lint=lint,
-            retry=retry,
-            deadline_epoch=deadline_epoch,
-            max_failures=budget.max_failures if budget is not None else None,
-            per_eval_seconds=(
-                budget.per_eval_seconds if budget is not None else None
-            ),
-            fault_specs=fault_specs,
-            fault_seed=fault_seed,
-            memo_quantum=memo.quantum if memo is not None else None,
-            robust=robust,
-            box_override=_box_key(box_override),
-            store_dir=str(store_dir) if store is not None else None,
-            fingerprint=problem_fingerprint,
-            store_generation=store_generation,
-            surrogate=surrogate,
-        )
+        dc_replace(base_task, chain_index=index)
         for index in range(restarts)
         if index not in journaled_outcomes
     ]
@@ -983,8 +542,14 @@ def _synthesize_parallel(
         oversubscribe=oversubscribe,
         config=config,
         journal=journal,
+        budget=budget,
     )
     cpu = time.perf_counter() - start
+    if injector is not None:
+        # Each chain armed its own injector; fold the checks and fires
+        # back so the caller's injector accounts for the whole run.
+        for outcome in fresh_outcomes.values():
+            injector.absorb(outcome.fault_checks, outcome.fault_fires)
     if memo is not None:
         # Final write-behind flush (the per-chain flushes already
         # drained all but any tail merged after the last finish()).
@@ -1103,31 +668,16 @@ def _synthesize_parallel(
         corner_evals = sum(o.corner_evals for o in outcomes)
         screened = sum(o.screened_candidates for o in outcomes)
         if result.best_params:
-            verify_task = ChainTask(
-                tech=tech,
-                spec=spec,
-                topology=topology,
-                mode=mode,
-                synthesis_spec=synthesis_spec,
-                name=name,
-                range_factor=range_factor,
-                max_evaluations=max_evaluations,
-                schedule=schedule,
-                seed=seed,
-                chain_index=best.chain_index,
-                tolerant=tolerant,
-                lint=lint,
-                memo_quantum=memo.quantum if memo is not None else None,
-                robust=robust,
-                box_override=_box_key(box_override),
-                fingerprint=problem_fingerprint,
+            verify_task = dc_replace(
+                base_task, chain_index=best.chain_index
             )
             robust_detail = _robust_verify(
                 verify_task,
                 robust,
                 result.best_params,
                 journal=journal,
-                workers=workers,
+                # A single-chain run stays in this process throughout.
+                workers=workers if restarts > 1 else 1,
                 oversubscribe=oversubscribe,
             )
             # The verify fan-out counts whether it ran live or was
@@ -1173,35 +723,38 @@ def _synthesize_parallel(
     cache_evictions = (
         memo.evictions - evictions_before if memo is not None else 0
     )
-    log.record(
-        Diagnostic(
-            subsystem="synthesis.parallel",
-            severity="info",
-            message=(
-                f"{name}: {restarts} chains on {n_workers} worker(s): "
-                f"{evaluations} evaluations ({evals_per_second:.1f}/s), "
-                f"cache {cache_hits} hits / {cache_misses} misses"
-                + (
-                    f", store {store_hits} hits / {store_writes} writes"
-                    if store is not None else ""
-                )
-                + (
-                    f", surrogate {surrogate_skips} skips"
-                    if surrogate != "off" else ""
-                )
-            ),
-            context={
-                "name": name,
-                "restarts": restarts,
-                "workers": n_workers,
-                "cache_hits": cache_hits,
-                "cache_misses": cache_misses,
-                "store_hits": store_hits,
-                "store_writes": store_writes,
-                "surrogate_skips": surrogate_skips,
-            },
+    if restarts > 1 or memo is not None:
+        # A plain single-chain run has neither fan-out nor cache
+        # traffic to report.
+        log.record(
+            Diagnostic(
+                subsystem="synthesis.parallel",
+                severity="info",
+                message=(
+                    f"{name}: {restarts} chains on {n_workers} worker(s): "
+                    f"{evaluations} evaluations ({evals_per_second:.1f}/s), "
+                    f"cache {cache_hits} hits / {cache_misses} misses"
+                    + (
+                        f", store {store_hits} hits / {store_writes} writes"
+                        if store is not None else ""
+                    )
+                    + (
+                        f", surrogate {surrogate_skips} skips"
+                        if surrogate != "off" else ""
+                    )
+                ),
+                context={
+                    "name": name,
+                    "restarts": restarts,
+                    "workers": n_workers,
+                    "cache_hits": cache_hits,
+                    "cache_misses": cache_misses,
+                    "store_hits": store_hits,
+                    "store_writes": store_writes,
+                    "surrogate_skips": surrogate_skips,
+                },
+            )
         )
-    )
     global_stats().record_run(
         evaluations=evaluations,
         seconds=cpu,
@@ -1285,3 +838,162 @@ def _synthesize_parallel(
         surrogate_skips=surrogate_skips,
         surrogate_refits=surrogate_refits,
     )
+
+
+def _feasibility_gate(
+    tech,
+    spec,
+    topology,
+    synthesis_spec,
+    *,
+    mode,
+    range_factor,
+    contract,
+    name,
+    log,
+):
+    """Run the static analysis pre-gate; never raises, never blocks.
+
+    Analysis failures (unsupported topology, even a crash in the
+    analyzer) degrade to "no verdict": synthesis proceeds exactly as if
+    the gate had passed, with a diagnostic recording why.
+    """
+    from ..analysis import analyze_problem
+
+    try:
+        report = analyze_problem(
+            tech,
+            spec,
+            topology,
+            synthesis_spec,
+            mode=mode,
+            range_factor=range_factor,
+            contract=contract,
+            name=name,
+        )
+    except ApeError as exc:
+        log.record_exception(
+            "synthesis.feasibility",
+            exc,
+            severity="warning",
+            suggested_fix="feasibility gate skipped; synthesis proceeds ungated",
+        )
+        return None
+    if not report.feasible:
+        for finding in report.findings:
+            if finding.severity != "error":
+                continue
+            log.record(
+                Diagnostic(
+                    subsystem="synthesis.feasibility",
+                    severity="error",
+                    message=f"{name}: {finding.render()}",
+                    suggested_fix=finding.fix_hint,
+                    context={
+                        "name": name,
+                        "code": finding.code,
+                        "metric": finding.metric,
+                    },
+                )
+            )
+    return report
+
+
+def _resolve_memo(
+    memo, restarts: int, *, journaled: bool = False, stored: bool = False
+):
+    """Normalize the ``memo`` argument to an EvalMemo or ``None``.
+
+    ``None`` means "default policy": cache only when the run fans out
+    multiple chains, is journaled (a resumed run wants its warm cache
+    back) or is store-backed (the memo is the store's front tier).  A
+    plain single-chain run evaluates every candidate, cache-free.
+    """
+    from ..parallel import EvalMemo
+
+    if isinstance(memo, EvalMemo):
+        return memo
+    if memo is True or (
+        memo is None and (restarts > 1 or journaled or stored)
+    ):
+        return EvalMemo()
+    return None
+
+
+def _problem_fingerprint(
+    *, tech, spec, topology, mode, synthesis_spec, name, range_factor,
+    tolerant, lint, robust, box_override, quantum,
+):
+    """Content identity of one sizing problem: the memo scope and store
+    namespace.
+
+    Everything the evaluation function depends on is part of it —
+    conservative on purpose: a fingerprint that is too fine costs warm
+    hits, one that is too coarse would serve one problem's cost to
+    another.  The ``kind`` tag and parts are those the persistent store
+    has always keyed by, so stores on disk stay warm.
+    """
+    return _run_fingerprint(
+        kind="eval-store/1",
+        tech=repr(tech),
+        spec=repr(spec),
+        topology=repr(topology),
+        mode=mode,
+        synthesis_spec=repr(synthesis_spec),
+        name=name,
+        range_factor=range_factor,
+        tolerant=tolerant,
+        lint=lint,
+        robust=repr(robust) if robust is not None else None,
+        box=repr(_box_key(box_override)),
+        quantum=quantum,
+    )
+
+
+def _box_key(box_override):
+    """Hashable, pickle-stable form of a contracted box (or ``None``)."""
+    if box_override is None:
+        return None
+    return tuple(sorted(box_override.items()))
+
+
+def _run_fingerprint(**parts):
+    """Problem identity for the run journal (see ``run_fingerprint``)."""
+    from ..runtime.journal import run_fingerprint
+
+    return run_fingerprint(tuple(sorted(parts.items())))
+
+
+def _robust_verify(task, robust, params, *, journal, workers, oversubscribe):
+    """Final per-variant verification of a winning robust design.
+
+    Fans the variant labels over the process pool
+    (:func:`~repro.parallel.parallel_map`) — corners are a second axis
+    of parallelism next to chains.  The detail is journaled
+    (``robust-verified``) keyed by the exact winning parameters, so a
+    resumed run replays the recorded fan-out instead of recomputing it
+    (JSON floats round-trip exactly, keeping resume bit-for-bit).
+    """
+    from ..parallel import parallel_map
+    from ..parallel.executor import robust_variant_eval
+
+    if journal is not None:
+        for record in journal.events():
+            if (
+                record.get("event") == "robust-verified"
+                and record.get("params") == params
+            ):
+                return {
+                    label: dict(metrics) if metrics is not None else None
+                    for label, metrics in record["detail"].items()
+                }
+    pairs = parallel_map(
+        robust_variant_eval,
+        [(task, label, params) for label in robust.variant_labels],
+        workers=workers,
+        oversubscribe=oversubscribe,
+    )
+    detail = dict(pairs)
+    if journal is not None:
+        journal.append("robust-verified", params=params, detail=detail)
+    return detail

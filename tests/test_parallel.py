@@ -2,7 +2,8 @@
 
 Locks in the determinism contract of :mod:`repro.parallel`:
 
-* ``restarts=1`` is bit-for-bit the classic serial path (and stays so
+* ``restarts=1`` is bit-for-bit chain 0 of a pooled multi-restart run
+  and matches the former serial path's pinned results (and stays so
   with an explicit memo — hits return the stored exact result);
 * multi-restart results depend only on ``(seed, restarts)``, never on
   the worker count or scheduling;
@@ -262,7 +263,8 @@ class TestCanonicalEvaluation:
         variables = ape_ranges(template)
         bounds = {v.name: (v.lo, v.hi) for v in variables}
         slow = OpAmpSizingProblem(template, variables)
-        fast = OpAmpSizingProblem(template, variables, reuse_bench=True)
+        slow._bench_broken = True  # every candidate: a factory build
+        fast = OpAmpSizingProblem(template, variables)
         point = {
             name: min(max(template.initial_point().get(name, lo), lo), hi)
             for name, (lo, hi) in bounds.items()
@@ -279,7 +281,8 @@ class TestCanonicalEvaluation:
         template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
         variables = ape_ranges(template)
         cold = OpAmpSizingProblem(template, variables)
-        warm = OpAmpSizingProblem(template, variables, warm_start=True)
+        cold._warm_ready = True  # no template OP: flat initial guess
+        warm = OpAmpSizingProblem(template, variables)
         point = {
             v.name: min(max(template.initial_point().get(v.name, v.lo), v.lo), v.hi)
             for v in variables
@@ -296,9 +299,7 @@ class TestCanonicalEvaluation:
         template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
         variables = ape_ranges(template)
         bounds = {v.name: (v.lo, v.hi) for v in variables}
-        problem = OpAmpSizingProblem(
-            template, variables, warm_start=True, reuse_bench=True
-        )
+        problem = OpAmpSizingProblem(template, variables)
         point = {
             name: min(max(template.initial_point().get(name, lo), lo), hi)
             for name, (lo, hi) in bounds.items()
@@ -315,19 +316,41 @@ class TestCanonicalEvaluation:
 # ------------------------------------------------------------ determinism
 
 
+#: Best cost and verdict of the former serial evaluation path (cold
+#: DC starts, factory-built benches) for SPEC/TOPO, seed 3, 40
+#: evaluations.  The executor's warm starts move the last digits only.
+SERIAL_GOLDEN = {
+    "ape": (0.21160571161413388, True),
+    "standalone": (34.96509407427068, False),
+}
+
+
 class TestDeterminism:
     def test_restarts_one_is_bit_for_bit_serial(self):
-        kwargs = dict(mode="ape", max_evaluations=40, seed=3, name="oa")
-        a = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
-        b = synthesize_opamp(TECH, SPEC, TOPO, restarts=1, **kwargs)
-        assert a.best_cost == b.best_cost
-        assert a.params == b.params
-        assert a.metrics == b.metrics
-        assert a.evaluations == b.evaluations
-        assert (a.restarts, a.workers) == (1, 1)
+        for mode, (cost, meets) in SERIAL_GOLDEN.items():
+            result = synthesize_opamp(
+                TECH, SPEC, TOPO, mode=mode, max_evaluations=40, seed=3,
+                name="oa",
+            )
+            assert result.best_cost == pytest.approx(cost, rel=1e-9), mode
+            assert result.meets_spec is meets, mode
+            assert result.evaluations == 40
+            assert (result.restarts, result.workers) == (1, 1)
+
+    @pytest.mark.parametrize("mode", ["ape", "standalone"])
+    def test_restarts_one_is_chain_zero_of_a_pooled_run(self, mode):
+        kwargs = dict(mode=mode, max_evaluations=40, seed=3, name="oa")
+        single = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        pooled = synthesize_opamp(
+            TECH, SPEC, TOPO, restarts=2, workers=2, oversubscribe=True,
+            **kwargs,
+        )
+        assert pooled.workers == 2
+        assert _chain_summary(single) == _chain_summary(pooled)[:1]
+        assert single.params == pooled.chains[0].best_params
 
     def test_serial_memo_opt_in_is_exact(self):
-        """An explicit memo on the serial path changes nothing but speed."""
+        """An explicit memo on a single-chain run changes nothing but speed."""
         kwargs = dict(mode="ape", max_evaluations=60, seed=5, name="oa")
         plain = synthesize_opamp(TECH, SPEC, TOPO, memo=False, **kwargs)
         memod = synthesize_opamp(TECH, SPEC, TOPO, memo=True, **kwargs)
@@ -381,6 +404,32 @@ class TestDeterminism:
             )
         assert one.failed_evaluations > 0
         assert _chain_summary(one) == _chain_summary(pooled)
+
+    @each_path
+    def test_chain_fault_counts_reach_the_caller(self, path):
+        """Each chain arms its own injector; the caller's sees them all."""
+        with injected_faults({"synthesis.evaluate": 0.2}, seed=11) as inj:
+            result = synthesize_opamp(
+                TECH, SPEC, TOPO, mode="ape", max_evaluations=40, seed=4,
+                name="oa", restarts=2, **path,
+            )
+        assert result.evaluations == 80
+        assert inj.checks_by_site["synthesis.evaluate"] == 80
+        fires = inj.fires_by_site["synthesis.evaluate"]
+        assert 0 < fires <= result.failed_evaluations
+
+    def test_strict_run_never_reuses_a_tolerant_bundle(self):
+        """A cached tolerant problem must not hide a strict APE failure."""
+        from repro.errors import EstimationError
+
+        kwargs = dict(
+            mode="ape", max_evaluations=10, seed=3, name="oa", restarts=2,
+            workers=1, memo=False,
+        )
+        synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        with injected_faults({"estimator.opamp": 1.0}, seed=1):
+            with pytest.raises(EstimationError):
+                synthesize_opamp(TECH, SPEC, TOPO, tolerant=False, **kwargs)
 
     def test_fault_injector_restored_after_fan_out(self):
         with injected_faults({"spice.dc": 0.0}, seed=3) as injector:
@@ -595,6 +644,13 @@ class TestPoolBoundaryPickling:
             == _small_task(chain_index=3).problem_key()
         )
 
+    def test_problem_key_separates_strict_and_tolerant(self):
+        from dataclasses import replace
+
+        task = _small_task(chain_index=0)
+        strict = replace(task, tolerant=False)
+        assert strict.problem_key() != task.problem_key()
+
     def test_problem_key_shared_after_pool_transfer(self):
         # problem_key is process-local: its bytes depend on object
         # identity (string interning changes pickle back-references),
@@ -648,6 +704,24 @@ class TestBatchedRunners:
         )
         assert len(memo) > 0
         assert memo.stores > 0
+
+    def test_in_process_bundle_cache_is_bounded(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.parallel import executor
+
+        monkeypatch.setattr(executor, "_BUNDLE_CAPACITY", 2)
+        executor.clear_worker_caches()
+        tasks = [
+            replace(_small_task(chain_index=0), name=f"oa{i}")
+            for i in range(3)
+        ]
+        for task in tasks:
+            executor._bundle_for(task)
+        assert list(executor._WORKER_BUNDLES) == [
+            task.problem_key() for task in tasks[1:]
+        ]
+        executor.clear_worker_caches()
 
     def test_empty_task_list(self):
         assert run_annealing_chains([]) == []

@@ -343,6 +343,25 @@ class TestRobustSynthesis:
         )
 
     @pytest.mark.timeout(300)
+    def test_single_chain_run_starts_no_pool(self, monkeypatch):
+        """restarts=1 stays in-process, final verification included,
+        whatever ``workers`` asks for."""
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single-chain run started a pool")
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", no_pool
+        )
+        result = synthesize_opamp(
+            TECH, SPEC, TOPO, seed=3, robust=self.ROBUST, workers=4,
+            oversubscribe=True, **RUN_KW
+        )
+        assert result.workers == 1
+        assert set(result.corner_metrics) == set(self.ROBUST.variant_labels)
+
+    @pytest.mark.timeout(300)
     def test_identical_across_worker_counts(self):
         """Corner + MC evaluation is canonical: the worker count (and
         with it the Monte Carlo execution order) cannot change a single

@@ -1,7 +1,7 @@
-"""Dense / sparse / batched solver-backend equivalence and regressions.
+"""Dense / sparse solver-backend equivalence and regressions.
 
-The sparse (SuperLU) backend and the batched candidate evaluator must
-be drop-in replacements for the dense path: same solutions to within
+The sparse (SuperLU) backend must be a drop-in replacement for the
+dense path: same solutions to within
 strict tolerances, same error types on singular systems, same
 analysis-level results end to end.  Also holds the regression tests for
 the three correctness fixes that shipped with the backend work:
@@ -161,21 +161,6 @@ class TestSolverModes:
 
 
 class TestLinalgPrimitives:
-    def test_batched_solve_matches_per_slice_exactly(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(6, 9, 9))
-        a += 9.0 * np.eye(9)
-        b = rng.normal(size=(6, 9))
-        x = linalg.batched_solve(a, b)
-        for k in range(6):
-            assert np.array_equal(x[k], np.linalg.solve(a[k], b[k]))
-
-    def test_batched_solve_raises_on_any_singular_member(self):
-        a = np.stack([np.eye(3), np.zeros((3, 3))])
-        b = np.ones((2, 3))
-        with pytest.raises(np.linalg.LinAlgError):
-            linalg.batched_solve(a, b)
-
     def test_sparse_pattern_reconstructs_matrix(self):
         rng = np.random.default_rng(5)
         n = 12
@@ -328,149 +313,6 @@ class TestSweepEquivalence:
         with solver_override("sparse"):
             out = run()
         assert_same(out, ref, rtol=1e-9)
-
-
-# --------------------------------------------------------------------------
-# Batched candidate evaluation (CandidateBatch + evaluate_batch)
-# --------------------------------------------------------------------------
-
-
-def _sizing_problem():
-    from repro.opamp import coarse_design_opamp
-    from repro.synthesis.problems import OpAmpSizingProblem, ape_ranges
-
-    template, _ = coarse_design_opamp(
-        TECH, OpAmpSpec(gain=200.0, ugf=2e6, ibias=2e-6, cl=10e-12)
-    )
-    return template, OpAmpSizingProblem(template, ape_ranges(template))
-
-
-class TestCandidateBatch:
-    def _mos_systems(self, k: int):
-        systems = []
-        for i in range(k):
-            ckt = _mos_amp()
-            elem = ckt.element("M1")
-            import dataclasses
-
-            ckt.replace(
-                dataclasses.replace(elem, w=elem.w * (1.0 + 0.1 * i))
-            )
-            systems.append(System(ckt))
-        return systems
-
-    def test_newton_matches_scalar_bitwise(self):
-        from repro.spice.batch import CandidateBatch
-
-        systems = self._mos_systems(4)
-        batch = CandidateBatch.create(systems)
-        assert batch is not None
-        got = batch.newton({k: None for k in range(4)})
-        for k, system in enumerate(systems):
-            op = dc_operating_point(system.circuit, system=system)
-            x, iterations = got[k]
-            assert np.array_equal(x, op.x)
-            assert iterations == op.iterations
-
-    def test_create_refuses_sparse_sized_systems(self):
-        from repro.spice.batch import CandidateBatch
-
-        systems = self._mos_systems(2)
-        with solver_override("sparse"):
-            assert CandidateBatch.create(systems) is None
-
-    def test_create_refuses_structure_mismatch(self):
-        from repro.spice.batch import CandidateBatch
-
-        assert (
-            CandidateBatch.create([System(_mos_amp()), System(_divider())])
-            is None
-        )
-
-    def test_retarget_accepts_source_dc_only(self):
-        import dataclasses
-
-        from repro.spice.batch import CandidateBatch
-        from repro.spice.engine import stamps_for
-
-        systems = self._mos_systems(2)
-        batch = CandidateBatch.create(systems)
-        ckt = systems[0].circuit.copy()
-        elem = ckt.element("V2")
-        ckt.replace(dataclasses.replace(elem, dc=1.3))
-        assert batch.retarget(0, ckt)
-        # The retargeted member must be bit-identical to a fresh compile.
-        fresh = stamps_for(System(ckt.copy()))
-        assert np.array_equal(batch.stamps[0].src_dc, fresh.src_dc)
-        got = batch.newton({0: None})
-        op = dc_operating_point(ckt, system=System(ckt.copy()))
-        assert np.array_equal(got[0][0], op.x)
-
-    def test_retarget_rejects_value_edit(self):
-        import dataclasses
-
-        from repro.spice.batch import CandidateBatch
-
-        systems = self._mos_systems(2)
-        batch = CandidateBatch.create(systems)
-        ckt = systems[1].circuit.copy()
-        elem = ckt.element("R1")
-        ckt.replace(dataclasses.replace(elem, value=2e3))
-        before = batch.stamps[1].src_dc.copy()
-        assert not batch.retarget(1, ckt)
-        assert np.array_equal(batch.stamps[1].src_dc, before)
-
-
-class TestEvaluateBatchEquivalence:
-    def _params(self, template, scales):
-        base = template.initial_point()
-        return [
-            {key: value * s for key, value in base.items()} for s in scales
-        ]
-
-    def test_bitwise_identical_metrics(self):
-        template, scalar = _sizing_problem()
-        _, batched = _sizing_problem()
-        # Upscales only: the coarse design pins one W at the technology
-        # minimum, so downscaled candidates die at the lint gate (which
-        # must ALSO match bitwise — covered below).
-        params = self._params(
-            template, (1.0, 1.04, 1.1, 1.2, 1.02, 1.3, 1.06, 1.15)
-        )
-        want = [scalar.evaluate(p) for p in params]
-        got = batched.evaluate_batch(params)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            if w is None:
-                assert g is None
-                continue
-            assert set(g) == set(w)
-            for key in w:
-                if isinstance(w[key], float) and math.isnan(w[key]):
-                    assert math.isnan(g[key])
-                else:
-                    assert g[key] == w[key], key
-
-    def test_lint_rejected_candidates_align(self):
-        template, scalar = _sizing_problem()
-        _, batched = _sizing_problem()
-        params = self._params(template, (1.0, 0.5, 1.1, 0.7))
-        want = [scalar.evaluate(p) for p in params]
-        got = batched.evaluate_batch(params)
-        assert [g is None for g in got] == [w is None for w in want]
-        assert batched.lint_rejections == scalar.lint_rejections == 2
-
-    def test_single_candidate_falls_back_to_scalar(self):
-        template, scalar = _sizing_problem()
-        _, batched = _sizing_problem()
-        params = self._params(template, (1.05,))
-        want = scalar.evaluate(params[0])
-        (got,) = batched.evaluate_batch(params)
-        assert got == want
-
-    def test_empty_list(self):
-        _, batched = _sizing_problem()
-        assert batched.evaluate_batch([]) == []
 
 
 # --------------------------------------------------------------------------
