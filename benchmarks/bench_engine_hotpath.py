@@ -62,7 +62,7 @@ def test_transient_compiled_speed(benchmark):
 
 @pytest.mark.benchmark(group="engine-hotpath")
 def test_anneal_eval_compiled_speed(benchmark):
-    problem, _, params_list = _anneal_fixture()
+    problem, params_list = _anneal_fixture()
     metrics = benchmark(
         lambda: [problem.evaluate(params) for params in params_list]
     )

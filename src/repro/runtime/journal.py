@@ -185,33 +185,59 @@ def outcome_from_jsonable(payload: dict) -> Any:
 def memo_entries_to_jsonable(entries: dict) -> list:
     """Serialize ``{(fingerprint, key): (cost, metrics)}`` memo entries.
 
-    Entries are grouped by fingerprint (a chain's entries share one),
-    so the 64-hex scope is written once per record, not per entry.
+    Entries are grouped by fingerprint, key names and metric names (a
+    chain's entries share one fingerprint and, per outcome kind, one
+    name layout), so each group writes its 64-hex scope and its names
+    once: ``[fingerprint, names, metric_names, rows]`` with one row
+    ``[*key_values, cost, *metric_values]`` per entry.  A failed
+    evaluation (``metrics is None``) has ``metric_names = None``.
     """
     groups: dict = {}
     for (fingerprint, key), (cost, metrics) in entries.items():
-        groups.setdefault(fingerprint, []).append(
-            [[list(pair) for pair in key], cost, metrics]
-        )
-    return [[fingerprint, rows] for fingerprint, rows in groups.items()]
+        names = tuple(name for name, _ in key)
+        metric_names = None if metrics is None else tuple(metrics)
+        row = [q for _, q in key]
+        row.append(cost)
+        if metrics is not None:
+            row.extend(metrics.values())
+        groups.setdefault((fingerprint, names, metric_names), []).append(row)
+    return [
+        [
+            fingerprint,
+            list(names),
+            None if metric_names is None else list(metric_names),
+            rows,
+        ]
+        for (fingerprint, names, metric_names), rows in groups.items()
+    ]
 
 
 def _memo_entries_from_jsonable(payload: list) -> dict:
     """Inverse of :func:`memo_entries_to_jsonable` (exact floats)."""
-    return {
-        (fingerprint, tuple((name, q) for name, q in key)): (
-            cost,
-            dict(metrics) if metrics is not None else None,
-        )
-        for fingerprint, rows in payload
-        for key, cost, metrics in rows
-    }
+    entries: dict = {}
+    for fingerprint, names, metric_names, rows in payload:
+        width = len(names)
+        for row in rows:
+            key = tuple(zip(names, row[:width]))
+            metrics = (
+                None if metric_names is None
+                else dict(zip(metric_names, row[width + 1:]))
+            )
+            entries[(fingerprint, key)] = (row[width], metrics)
+    return entries
 
 
 class RunJournal:
     """Filesystem-backed journal of one synthesis run."""
 
-    SCHEMA = "repro-run-journal/1"
+    #: Format of the manifest and journal records.  ``/2`` writes memo
+    #: deltas with their names once per group; a ``/1`` directory still
+    #: resumes (its chain outcomes are unchanged), with a cold memo.
+    SCHEMA = "repro-run-journal/2"
+    #: The journal format a run fingerprint pins: it changes only when
+    #: chain outcome records do, never for memo records, which affect
+    #: speed alone.
+    OUTCOME_SCHEMA = "repro-run-journal/1"
     MANIFEST = "manifest.json"
     JOURNAL = "journal.jsonl"
 
@@ -313,8 +339,15 @@ class RunJournal:
         return outcomes
 
     def load_memo_entries(self) -> dict:
-        """Every journaled memo entry: the warm cache for a resume."""
+        """Every journaled memo entry: the warm cache for a resume.
+
+        Empty for a directory written in another memo record format
+        (the resume then runs with a cold memo, at the same result).
+        """
         entries: dict = {}
+        manifest = self.load_sidecar(self.MANIFEST) or {}
+        if manifest.get("schema") != self.SCHEMA:
+            return entries
         for record in self.events():
             if record.get("event") in ("chain-finished", "interrupted"):
                 entries.update(

@@ -14,9 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import ConvergenceError, SimulationError
 from .ac import ACResult, ac_analysis
-from .dc import OperatingPointResult, dc_operating_point
+from .dc import GMIN, OperatingPointResult, _newton, dc_operating_point
+from .engine import assemble_dc
 from .mna import System
 from .netlist import Circuit
 from .transient import TransientResult
@@ -176,44 +177,61 @@ def balance_differential(
     max_bisections: int = 60,
     retry=None,
     system: System | None = None,
-    warm_start: bool = True,
+    x0: np.ndarray | None = None,
 ) -> tuple[float, Circuit, OperatingPointResult]:
     """Find the DC differential input that centres an amplifier's output.
 
     ``build(v_offset)`` must return a fresh circuit with the given DC
-    differential drive.  A bisection over ``[-v_span, +v_span]`` finds
-    the offset where ``V(output_node) == target`` — the standard way to
-    bias a high-gain open-loop amplifier before AC analysis.
+    differential drive; the offset where ``V(output_node) == target``
+    is the standard way to bias a high-gain open-loop amplifier before
+    AC analysis.
+
+    The drive joins the DC unknowns in one bordered Newton solve (see
+    :func:`repro.spice.dc._newton`) started from ``x0``, the solution
+    at zero drive (solved here when not given).  The residual is affine
+    in the drive, so its column is the difference of the residuals of
+    ``build(1.0)`` and ``build(0.0)`` at ``x0``.  A polish solve of
+    ``build(v)`` from the bordered point must then put the output
+    within ``tol`` of ``target`` with ``|v| <= v_span``.  Otherwise a
+    bisection over ``[-v_span, +v_span]`` finds the offset, each solve
+    warm-started from the previous bisection's (the operating point
+    moves continuously as the interval shrinks, and the tracking keeps
+    the search on one solution branch in multistable circuits).
 
     An optional :class:`~repro.runtime.retry.RetryPolicy` is forwarded
-    to every bisection solve so one transient non-convergence does not
-    void the whole balancing sweep.  Every ``build`` result shares one
+    to every DC solve.  Every ``build`` result shares one
     :class:`System` (they are the same topology at different drives),
-    so the netlist is validated and indexed once, not per bisection;
-    pass ``system`` to share an already-built one.
-
-    With ``warm_start`` (the default) every bisection's Newton solve
-    starts from the previous bisection's solution.  Consecutive drives
-    differ by at most the shrinking interval, so the operating point
-    moves continuously and the solver typically converges in a couple
-    of iterations instead of from scratch — and the tracking keeps the
-    search on one solution branch in multistable circuits.
+    so the netlist is validated and indexed once, not per solve; pass
+    ``system`` to share an already-built one.
 
     Returns ``(v_offset, circuit, op)`` at the balanced point.
     """
     shared: list[System | None] = [system]
-    x_last: list = [None]
 
-    def output_at(vofs: float) -> tuple[float, Circuit, OperatingPointResult]:
-        ckt = build(vofs)
+    def bind(ckt: Circuit) -> System:
         sys = shared[0]
         sys = System(ckt) if sys is None else sys.rebind(ckt)
         shared[0] = sys
-        op = dc_operating_point(
-            ckt, retry=retry, system=sys, x0=x_last[0]
+        return sys
+
+    def solve(ckt: Circuit, start: np.ndarray | None) -> OperatingPointResult:
+        return dc_operating_point(ckt, retry=retry, system=bind(ckt), x0=start)
+
+    try:
+        found = _bordered_offset(
+            build, output_node, target, v_span, tol, bind, solve, x0
         )
-        if warm_start:
-            x_last[0] = op.x
+    except ConvergenceError:
+        found = None
+    if found is not None:
+        return found
+
+    x_last: list[np.ndarray | None] = [None]
+
+    def output_at(vofs: float) -> tuple[float, Circuit, OperatingPointResult]:
+        ckt = build(vofs)
+        op = solve(ckt, x_last[0])
+        x_last[0] = op.x
         return op.v(output_node) - target, ckt, op
 
     lo, hi = -v_span, v_span
@@ -243,3 +261,44 @@ def balance_differential(
             hi = mid
     v_best, ckt_best, op_best, _ = best
     return v_best, ckt_best, op_best
+
+
+def _bordered_offset(
+    build: Callable[[float], Circuit],
+    output_node: str,
+    target: float,
+    v_span: float,
+    tol: float,
+    bind: Callable[[Circuit], System],
+    solve: Callable[[Circuit, np.ndarray | None], OperatingPointResult],
+    x0: np.ndarray | None,
+) -> tuple[float, Circuit, OperatingPointResult] | None:
+    """The bordered Newton step of :func:`balance_differential`.
+
+    Returns the polished ``(v, circuit, op)``, or ``None`` when the
+    bordered run fails, leaves the span or misses ``tol``.
+    """
+    ckt0 = build(0.0)
+    if x0 is None:
+        x0 = solve(ckt0, None).x
+    res1, _ = assemble_dc(bind(build(1.0)), x0)
+    # Bound last: the Newton run assembles at zero drive.
+    system = bind(ckt0)
+    k = system.index(output_node)
+    if k < 0:
+        return None
+    res0, _ = assemble_dc(system, x0)
+    solved = _newton(
+        system, np.append(x0, 0.0), gmin=GMIN, border=(res1 - res0, k, target)
+    )
+    if solved is None:
+        return None
+    x = solved[0]
+    v = float(x[-1])
+    if abs(v) > v_span:
+        return None
+    ckt = build(v)
+    op = solve(ckt, x[:-1])
+    if abs(op.v(output_node) - target) >= tol:
+        return None
+    return v, ckt, op

@@ -26,6 +26,8 @@ from .netlist import Circuit, Mosfet, VoltageSource
 
 __all__ = ["OperatingPointResult", "dc_operating_point", "dc_sweep"]
 
+#: Default shunt conductance from every node to ground [S].
+GMIN = 1e-12
 #: Maximum Newton voltage update per iteration [V].
 MAX_STEP = 0.5
 #: Convergence thresholds.
@@ -104,15 +106,44 @@ def _newton(
     gmin: float,
     source_scale: float = 1.0,
     max_iter: int = 150,
+    border: tuple[np.ndarray, int, float] | None = None,
 ) -> tuple[np.ndarray, int] | None:
-    """One Newton run; returns (solution, iterations) or None."""
+    """One Newton run; returns (solution, iterations) or None.
+
+    An optional ``border = (b, k, target)`` adds one unknown and one
+    equation: a drive ``v`` the residual depends on affinely (the
+    residual becomes ``res(x) + v·b``) and ``x[k] == target``.  The
+    solution vector (``x0`` included) then carries ``v`` as one extra
+    trailing entry.  Each iteration eliminates the border block-wise
+    with one two-column solve ``J·[y z] = [-res, b]``: the border row
+    gives ``dv = (x[k] + y[k] - target) / z[k]`` and ``dx = y - dv·z``.
+    Damping and convergence gates are the plain ones, with ``dv``
+    scaled alongside ``dx``.
+    """
     x = x0.copy()
+    # The circuit unknowns: all of ``x`` without a border, a view that
+    # follows the in-place updates with one.
+    x_ckt = x[: system.size]
     for iteration in range(1, max_iter + 1):
-        res, jac = assemble_dc(system, x, gmin=gmin, source_scale=source_scale)
+        res, jac = assemble_dc(
+            system, x_ckt, gmin=gmin, source_scale=source_scale
+        )
+        if border is None:
+            rhs = -res
+        else:
+            b, k, target = border
+            res += x[-1] * b
+            rhs = np.column_stack((-res, b))
         try:
-            dx = solve_assembled(system, jac, -res, kind="dc", key=(gmin,))
+            dx = solve_assembled(system, jac, rhs, kind="dc", key=(gmin,))
         except np.linalg.LinAlgError:
             return None
+        if border is not None:
+            y, z = dx[:, 0], dx[:, 1]
+            if z[k] == 0.0:
+                return None  # the output does not move with the drive
+            dv = (x[k] + y[k] - target) / z[k]
+            dx = np.append(y - dv * z, dv)
         if not np.all(np.isfinite(dx)):
             return None
         max_dx = float(np.max(np.abs(dx[: system.n_nodes]), initial=0.0))
@@ -132,7 +163,7 @@ def _newton(
             # scale: |J|·|x| bounds the largest stamped current, so a
             # kiloamp circuit is not held to nanoamp residuals (and a
             # nanoamp circuit keeps the absolute RESIDUAL_TOL floor).
-            i_scale = float(np.max(np.abs(jac) @ np.abs(x), initial=0.0))
+            i_scale = float(np.max(np.abs(jac) @ np.abs(x_ckt), initial=0.0))
             if res_norm < RESIDUAL_TOL * (1.0 + i_scale):
                 # The residual is the ground truth (KCL satisfied at
                 # x); a dx held just above VOLTAGE_TOL by a badly
@@ -234,7 +265,7 @@ def dc_operating_point(
     circuit: Circuit,
     *,
     x0: np.ndarray | None = None,
-    gmin: float = 1e-12,
+    gmin: float = GMIN,
     retry: RetryPolicy | None = None,
     system: System | None = None,
 ) -> OperatingPointResult:
@@ -333,7 +364,7 @@ def dc_sweep(
     source_name: str,
     values: np.ndarray | list[float],
     *,
-    gmin: float = 1e-12,
+    gmin: float = GMIN,
     retry: RetryPolicy | None = None,
 ) -> tuple[np.ndarray, list[OperatingPointResult]]:
     """Sweep the DC value of a voltage/current source.

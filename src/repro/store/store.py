@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -86,6 +87,26 @@ _CREATE_SQL = (
         ON evaluations (fingerprint, id)
     """,
 )
+
+
+def _enable_wal(conn: sqlite3.Connection, timeout_s: float) -> None:
+    """Switch ``conn`` to WAL mode, waiting out a concurrent writer.
+
+    SQLite answers the switch with "database is locked" at once,
+    without its busy handler, while another connection holds a write
+    lock — as when several processes open a new store together — so
+    the switch is retried here in 5 ms steps, up to the store's busy
+    timeout.
+    """
+    attempts = max(1, round(timeout_s / 0.005))
+    for attempt in range(attempts):
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or attempt == attempts - 1:
+                raise
+            time.sleep(0.005)
 
 
 def _encode_key(key: "MemoKey") -> str:
@@ -172,7 +193,7 @@ class EvalStore:
         try:
             self.store_dir.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path, timeout=self.busy_timeout_s)
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn, self.busy_timeout_s)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
             for statement in _CREATE_SQL:

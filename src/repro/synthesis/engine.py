@@ -415,7 +415,7 @@ def synthesize_opamp(
     if run_dir is not None:
         journal = RunJournal(run_dir)
         fingerprint_parts = dict(
-            schema=RunJournal.SCHEMA,
+            schema=RunJournal.OUTCOME_SCHEMA,
             tech=repr(tech),
             spec=repr(spec),
             topology=repr(topology),

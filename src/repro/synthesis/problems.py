@@ -3,9 +3,11 @@
 An :class:`OpAmpSizingProblem` fixes the circuit *structure* (the
 topology, exactly as ASTRX/OBLX does) and exposes the device geometries
 and compensation capacitor as box-bounded unknowns.  Candidate
-evaluation follows the ASTRX/OBLX recipe: DC operating point (with a
-quick output-balancing search), then an AWE reduced-order model for the
-gain and unity-gain frequency — not a full AC sweep.
+evaluation follows the ASTRX/OBLX recipe: DC operating point (a railed
+output is balanced by one bordered Newton solve over the differential
+drive, see :func:`~repro.spice.analysis.balance_differential`), then an
+AWE reduced-order model for the gain and unity-gain frequency — not a
+full AC sweep.
 """
 
 from __future__ import annotations
@@ -196,7 +198,6 @@ class OpAmpSizingProblem(SizingProblem):
         balance_tolerance: float = 2e-3,
         retry: RetryPolicy | None = None,
         diagnostics: DiagnosticLog | None = None,
-        reuse_state: bool = True,
         lint: bool = True,
         bench_factory: Callable[..., object] | None = None,
     ) -> None:
@@ -219,11 +220,6 @@ class OpAmpSizingProblem(SizingProblem):
             open_loop_bench if bench_factory is None else bench_factory
         )
         self._structural_report = None
-        #: Share one MNA system across candidates and warm-start the
-        #: balancing bisections (the default).  ``False`` restores the
-        #: from-scratch behaviour every evaluation — only useful as a
-        #: benchmark baseline.
-        self.reuse_state = reuse_state
         #: Optional retry policy forwarded to the DC solver so transient
         #: non-convergence is re-attempted before the candidate is
         #: declared unusable.
@@ -268,9 +264,7 @@ class OpAmpSizingProblem(SizingProblem):
             bench = self._candidate_bench(amp, params)
             if self.lint and self._lint_rejects(bench, amp):
                 return None
-            if not self.reuse_state:
-                self._system = None
-            elif self._system is None:
+            if self._system is None:
                 self._system = System(bench)
             else:
                 self._system = self._system.rebind(bench)
@@ -282,7 +276,8 @@ class OpAmpSizingProblem(SizingProblem):
             )
             v_out = op.v("out")
             if abs(v_out) > 0.25:
-                # Output railed at zero offset: balance quickly.
+                # Output railed at zero offset: balance from this
+                # solution.
                 _, bench, op = balance_differential(
                     lambda v: self.bench_factory(amp, v_diff=v),
                     "out",
@@ -292,7 +287,7 @@ class OpAmpSizingProblem(SizingProblem):
                     max_bisections=16,
                     retry=self.retry,
                     system=self._system,
-                    warm_start=self.reuse_state,
+                    x0=op.x,
                 )
                 if abs(op.v("out")) > 1.0:
                     # Unbalanceable: dead amplifier.

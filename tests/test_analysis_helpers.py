@@ -15,7 +15,9 @@ from repro.spice import (
     measure_cmrr,
     measure_output_impedance,
 )
+from repro.spice import analysis
 from repro.spice.analysis import balance_differential
+from repro.spice.engine import naive_assembly
 from repro.technology import generic_05um
 
 TECH = generic_05um()
@@ -136,6 +138,54 @@ class TestBalanceDifferential:
         build = self.build_affine(offset=100.0, gain=1.0)
         v, _, op = balance_differential(build, "sum", v_span=0.1)
         assert v in (-0.1, 0.1)
+
+    @staticmethod
+    def count_dc_solves(monkeypatch):
+        calls = []
+        original = analysis.dc_operating_point
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "dc_operating_point", counting)
+        return calls
+
+    @pytest.mark.parametrize("engine", ["compiled", "naive"])
+    def test_bordered_solve_nulls_the_output(self, monkeypatch, engine):
+        # The zero-drive solve plus one polish solve, and the null is
+        # exact where a bisection stops at its tolerance.
+        calls = self.count_dc_solves(monkeypatch)
+        build = self.build_affine(offset=1.0)
+        if engine == "naive":
+            with naive_assembly():
+                v, _, op = balance_differential(build, "sum")
+        else:
+            v, _, op = balance_differential(build, "sum")
+        assert len(calls) == 2
+        assert abs(op.v("sum")) < 1e-12
+        assert v == pytest.approx(-0.01, rel=1e-9)
+
+    def test_given_start_skips_the_zero_drive_solve(self, monkeypatch):
+        build = self.build_affine(offset=1.0)
+        x0 = dc_operating_point(build(0.0)).x
+        calls = self.count_dc_solves(monkeypatch)
+        v, _, op = balance_differential(build, "sum", x0=x0)
+        assert len(calls) == 1
+        assert v == pytest.approx(-0.01, rel=1e-9)
+
+    def test_offset_beyond_the_span_falls_back_to_the_bisection(
+        self, monkeypatch
+    ):
+        # The bordered solve finds v = -100 V, outside the span; the
+        # cold bisection then makes its two end solves (plus the
+        # zero-drive and no polish solve) and returns the closer end.
+        calls = self.count_dc_solves(monkeypatch)
+        build = self.build_affine(offset=100.0, gain=1.0)
+        v, _, op = balance_differential(build, "sum", v_span=0.1)
+        assert v == -0.1
+        assert op.v("sum") == pytest.approx((100.0 - 0.1) / 2, rel=1e-3)
+        assert len(calls) == 3
 
 
 class TestOperatingPointResult:

@@ -18,7 +18,8 @@ from repro.opamp import (
     verify_opamp,
 )
 from repro.opamp.benches import balanced_open_loop
-from repro.spice import dc_operating_point
+from repro.spice import analysis, dc_operating_point
+from repro.spice.linalg import solver_override
 from repro.technology import generic_05um
 
 TECH = generic_05um()
@@ -229,3 +230,54 @@ class TestTable1Specs:
         sim = verify_opamp(amp, measure_slew=False, measure_zout=False)
         assert sim["gain"] >= gain * 0.85
         assert sim["ugf"] >= ugf * 0.7
+
+
+class TestBalancedOpenLoop:
+    """The bordered balance on every paper Table 1 op-amp."""
+
+    #: name, gain, ugf, area, ibias, current source, buffer, load
+    TABLE1 = [
+        ("oa0", 200, 1.3e6, 5000e-12, 1.0e-6, "wilson", True, 1e3),
+        ("oa1", 70, 3.0e6, 3000e-12, 2.0e-6, "wilson", True, 1e3),
+        ("oa2", 100, 2.5e6, 2000e-12, 1.5e-6, "wilson", True, 2e3),
+        ("oa3", 250, 8.0e6, 1000e-12, 1.0e-6, "mirror", False, math.inf),
+        ("oa4", 150, 3.0e6, 1000e-12, 100e-6, "mirror", False, math.inf),
+        ("oa5", 200, 8.0e6, 5000e-12, 10e-6, "mirror", False, math.inf),
+        ("oa6", 50, 10.0e6, 200e-12, 10e-6, "mirror", False, math.inf),
+        ("oa7", 200, 3.0e6, 6000e-12, 1.0e-6, "mirror", True, 1e3),
+        ("oa8", 100, 2.0e6, 1000e-12, 1.0e-6, "mirror", True, 10e3),
+        ("oa9", 200, 5.0e6, 5000e-12, 10e-6, "mirror", True, 10e3),
+    ]
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    @pytest.mark.parametrize("row", TABLE1, ids=[r[0] for r in TABLE1])
+    def test_matches_a_tight_bisection(self, monkeypatch, row, mode):
+        name, gain, ugf, area, ib, src, buff, z = row
+        spec = OpAmpSpec(gain=gain, ugf=ugf, area=area, ibias=ib, cl=10e-12)
+        topo = OpAmpTopology(
+            current_source=src, output_buffer=buff, z_load=z
+        )
+        amp = design_opamp(TECH, spec, topo, name=name)
+        solves = []
+        original = analysis.dc_operating_point
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return original(*args, **kwargs)
+
+        with solver_override(mode):
+            monkeypatch.setattr(analysis, "dc_operating_point", counting)
+            v_ofs, _, op = balanced_open_loop(amp)
+            # Taken by the bordered solve: the zero-drive and polish
+            # solves only, no bisection.
+            assert len(solves) == 2
+            assert abs(op.v("out")) <= 1e-9
+            monkeypatch.setattr(
+                analysis, "_bordered_offset", lambda *a, **k: None
+            )
+            v_ref, _, op_ref = analysis.balance_differential(
+                lambda v: open_loop_bench(amp, v_diff=v),
+                "out", v_span=0.5, tol=1e-9, max_bisections=60,
+            )
+        assert abs(op_ref.v("out")) <= 1e-9
+        assert v_ofs == pytest.approx(v_ref, abs=1e-6)

@@ -18,6 +18,7 @@ import json
 import multiprocessing
 import shutil
 import sqlite3
+import threading
 
 import pytest
 
@@ -180,6 +181,28 @@ class TestConcurrentWriters:
         store = EvalStore(tmp_path)
         assert store.count(FP) == 200
         assert not store.disabled
+
+    def test_open_waits_out_a_concurrent_writer(self, tmp_path):
+        # While another connection holds a write lock on a new store
+        # file, SQLite refuses the WAL switch at once instead of through
+        # its busy handler; the open must wait like any busy lock rather
+        # than degrade the store (one writer in ~20 did, above).
+        holder = sqlite3.connect(
+            tmp_path / STORE_FILENAME, isolation_level=None,
+            check_same_thread=False,
+        )
+        holder.execute("CREATE TABLE holder (x)")
+        holder.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, holder.execute, args=("COMMIT",))
+        release.start()
+        try:
+            store = EvalStore(tmp_path)
+            assert store.put_many(FP, _entries(3)) == 3
+            assert not store.disabled
+            store.close()
+        finally:
+            release.join()
+            holder.close()
 
 
 # ------------------------------------------------------------ two-tier memo

@@ -338,6 +338,23 @@ class TestRunJournal:
         loaded.bind("problem-b")
         assert loaded.lookup({"w": 2e-6, "l": 1e-6}) is None
 
+    def test_memo_record_writes_names_once_per_group(self):
+        memo = EvalMemo()
+        memo.bind("problem-a")
+        memo.start_recording()
+        for index in range(3):
+            memo.store(
+                {"w": (index + 1) * 1e-6, "l": 1e-6}, 0.125 * index,
+                {"gain": 1.0, "ugf": float(index)},
+            )
+        memo.store({"w": 9e-6, "l": 1e-6}, 1e9, None)
+        payload = memo_entries_to_jsonable(memo.take_recorded())
+        assert [group[:3] for group in payload] == [
+            ["problem-a", ["l", "w"], ["gain", "ugf"]],
+            ["problem-a", ["l", "w"], None],
+        ]
+        assert json.dumps(payload).count('"w"') == 2
+
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ApeError):
             RunJournal(tmp_path / "nope").load_manifest()
@@ -427,6 +444,31 @@ class TestResume:
             resumed.cache_hits - replayed_hits
             > cold.cache_hits - replayed_hits
         )
+
+    @pytest.mark.timeout(300)
+    def test_version_one_directory_resumes_with_a_cold_memo(self, tmp_path):
+        """A run directory in the previous journal format still resumes
+        bit-for-bit; only its memo records, written in the old layout,
+        are left unread."""
+        kwargs = dict(seed=7, restarts=2, workers=1, **RUN_KW)
+        reference = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        run_dir = str(tmp_path / "run")
+        synthesize_opamp(
+            TECH, SPEC, TOPO, run_dir=run_dir,
+            supervisor=_quiet_config(interrupt_after=1), **kwargs
+        )
+        journal = RunJournal(run_dir)
+        assert journal.load_memo_entries()
+        manifest = journal.load_manifest()
+        manifest["schema"] = "repro-run-journal/1"
+        journal.write_sidecar(RunJournal.MANIFEST, manifest)
+        assert journal.load_memo_entries() == {}
+        resumed = synthesize_opamp(
+            TECH, SPEC, TOPO, run_dir=run_dir, resume=True, **kwargs
+        )
+        assert resumed.resumed_chains == [0]
+        assert _chain_summary(resumed) == _chain_summary(reference)
+        assert resumed.best_cost == reference.best_cost
 
     @pytest.mark.timeout(300)
     def test_resume_of_finished_run_is_a_no_op(self, tmp_path):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ApeError, SpecificationError
 from repro.opamp import OpAmpSpec, OpAmpTopology, design_opamp
+from repro.opamp.benches import open_loop_bench
+from repro.spice import analysis
 from repro.synthesis import (
     Annealer,
     AnnealingSchedule,
@@ -21,6 +23,7 @@ from repro.synthesis import (
     standalone_ranges,
     synthesize_opamp,
 )
+from repro.synthesis import problems
 from repro.synthesis.cost import FAILURE_COST
 from repro.technology import generic_05um
 
@@ -245,6 +248,45 @@ class TestOpAmpSizingProblem:
         cost = CostFunction(opamp_synthesis_spec(spec))
         good = problem.evaluate(amp.initial_point())
         assert cost(metrics) > cost(good)
+
+    def test_balanced_evaluation_makes_at_most_three_dc_solves(
+        self, monkeypatch
+    ):
+        amp = design_opamp(TECH, small_spec(), name="t")
+        problem = OpAmpSizingProblem(amp, ape_ranges(amp))
+        problem._warm_guess()  # the run-constant template solve
+        calls = []
+        for module in (problems, analysis):
+            original = module.dc_operating_point
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "dc_operating_point", counting)
+        metrics = problem.evaluate(amp.initial_point())
+        # The template's output rails at zero drive (about +1.35 V), so
+        # this evaluation balances.
+        assert metrics is not None and metrics["gain"] > 1.0
+        assert abs(metrics["offset"]) < problem.balance_tolerance
+        assert 2 <= len(calls) <= 3
+
+    def test_unbalanceable_candidate_gets_dead_metrics(self):
+        amp = design_opamp(TECH, small_spec(), name="t")
+
+        def attenuated_bench(opamp, v_diff=0.0):
+            # A built-in 50 mV offset the drive moves a millionth as
+            # much as the amplifier's own input: gain below one.
+            return open_loop_bench(opamp, v_diff=0.05 + 1e-6 * v_diff)
+
+        problem = OpAmpSizingProblem(
+            amp, ape_ranges(amp), bench_factory=attenuated_bench
+        )
+        metrics = problem.evaluate(amp.initial_point())
+        assert metrics is not None
+        assert metrics["gain"] == 0.0
+        assert math.isnan(metrics["ugf"])
+        assert abs(metrics["offset"]) > 1.0
 
 
 class TestSynthesizeOpamp:
